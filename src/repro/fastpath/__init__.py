@@ -6,9 +6,8 @@ The simulator ships two interchangeable hot cores:
   :class:`repro.sim.engine.Engine` (bucketed timer wheel) and
   :class:`repro.kernel.runqueue.CfsRunqueue` (red-black tree).
 * ``fast`` — this package: a slab/heap event engine (a C extension
-  compiled on first use, with a pure-Python slab fallback), a
-  heap-with-tombstones runqueue, struct-of-arrays load columns for
-  numpy balance scans, and batched RNG draw buffers.
+  compiled on first use, with a pure-Python slab fallback), a C kernel
+  cycle, and a heap-with-tombstones runqueue.
 
 The backend is a process-global execution detail, *not* part of
 :class:`~repro.config.SimConfig` or any cache key: both backends

@@ -775,17 +775,15 @@ typedef struct {
         o_last_task, o_online, o_nr_switches;
     Py_ssize_t o_rq_curr;      /* runqueue `curr` slot offset */
     /* Fast runqueue ops: enabled when the rq is a FastCfsRunqueue whose
-     * slots all resolved (and the load board, if any, gave us its
-     * buffers).  The C ops mutate the same heap list / counters the
-     * Python methods use, so both sides interleave freely. */
+     * slots all resolved (reported as counters()["rq_ops"]).  The C ops
+     * mutate the same heap list / counters the Python methods use, so
+     * both sides interleave freely. */
     int rq_fast;
     PyTypeObject *rq_type;     /* borrowed; identity gate for fast ops */
     Py_ssize_t o_rq_heap, o_rq_nstale, o_rq_seq, o_rq_nblocked,
-        o_rq_nenq, o_rq_minvr, o_rq_tree, o_rq_board, o_rq_cpuid;
+        o_rq_nenq, o_rq_minvr, o_rq_tree;
     Py_ssize_t o_tv_size;      /* _HeapTreeView.size */
     long long vb_sentinel;
-    int board_ok;              /* board buffers acquired */
-    Py_buffer board_size_buf, board_blocked_buf;
     long long fast_events;     /* events fully handled in C */
     long long bailouts;        /* events handed back to Python */
     int policy_is_cfs;         /* 0: non-CFS policy, bail every event */
@@ -1147,24 +1145,6 @@ err:
     return NULL;
 }
 
-/* Write-through to the load board (mirror of CpuLoadBoard.put). */
-static int
-rq_board_put(CycleObject *c, PyObject *rq, long long size, long long blocked)
-{
-    long long cid;
-    if (!c->board_ok || slot_get(rq, c->o_rq_board) == Py_None)
-        return 0;
-    if (slot_ll(rq, c->o_rq_cpuid, &cid) < 0)
-        return -1;
-    if (cid < 0 || cid >= c->board_size_buf.len / 8) {
-        PyErr_SetString(PyExc_IndexError, "cpu_id outside load board");
-        return -1;
-    }
-    ((long long *)c->board_size_buf.buf)[cid] = size;
-    ((long long *)c->board_blocked_buf.buf)[cid] = blocked;
-    return 0;
-}
-
 /* FastCfsRunqueue._settle: pop stale entries off the root.  Returns
  * 1 if a live entry remains, 0 if the heap drained, -1 on error. */
 static int
@@ -1240,12 +1220,6 @@ rq_pick_next_c(CycleObject *c, PyObject *rq)
     if (slot_ll(tv, c->o_tv_size, &size) < 0 ||
         slot_set_ll(tv, c->o_tv_size, size - 1) < 0)
         goto err;
-    {
-        long long nb;
-        if (slot_ll(rq, c->o_rq_nblocked, &nb) < 0 ||
-            rq_board_put(c, rq, size - 1, nb) < 0)
-            goto err;
-    }
     Py_INCREF(task);
     Py_DECREF(entry);
     return task;
@@ -1307,11 +1281,9 @@ rq_enqueue_c(CycleObject *c, PyObject *rq, PyObject *task)
         return -1;
     }
     Py_DECREF(key);
-    if (slot_ll(rq, c->o_rq_nblocked, &nb) < 0)
-        return -1;
     if (k0 >= c->vb_sentinel) {
-        nb += 1;
-        if (slot_set_ll(rq, c->o_rq_nblocked, nb) < 0)
+        if (slot_ll(rq, c->o_rq_nblocked, &nb) < 0 ||
+            slot_set_ll(rq, c->o_rq_nblocked, nb + 1) < 0)
             return -1;
     }
     if (slot_ll(rq, c->o_rq_nenq, &nenq) < 0 ||
@@ -1321,7 +1293,7 @@ rq_enqueue_c(CycleObject *c, PyObject *rq, PyObject *task)
     if (slot_ll(tv, c->o_tv_size, &size) < 0 ||
         slot_set_ll(tv, c->o_tv_size, size + 1) < 0)
         return -1;
-    return rq_board_put(c, rq, size + 1, nb);
+    return 0;
 }
 
 /* FastCfsRunqueue.nr_schedulable. */
@@ -2242,9 +2214,9 @@ cycle_new(PyTypeObject *type, PyObject *args, PyObject *Py_UNUSED(kwargs))
     if ((c->o_rq_curr = resolve_slot(Py_TYPE(rq0), "curr")) < 0)
         goto fail;
     /* Fast runqueue ops are optional: any resolution failure simply
-     * leaves the Python-method fallback in place. */
+     * leaves the Python-method fallback in place (counters() reports
+     * it as rq_ops == 0). */
     c->rq_fast = 0;
-    c->board_ok = 0;
     {
         PyTypeObject *rt = Py_TYPE(rq0);
         PyObject *vbo = PyDict_GetItemString(support, "VB_SENTINEL");
@@ -2268,8 +2240,6 @@ cycle_new(PyTypeObject *type, PyObject *args, PyObject *Py_UNUSED(kwargs))
         RESOLVE_RQ(o_rq_nenq, "nr_enqueues")
         RESOLVE_RQ(o_rq_minvr, "min_vruntime")
         RESOLVE_RQ(o_rq_tree, "tree")
-        RESOLVE_RQ(o_rq_board, "_board")
-        RESOLVE_RQ(o_rq_cpuid, "cpu_id")
 #undef RESOLVE_RQ
         if (ok) {
             PyObject *tv0 = slot_get(rq0, c->o_rq_tree);
@@ -2278,42 +2248,6 @@ cycle_new(PyTypeObject *type, PyObject *args, PyObject *Py_UNUSED(kwargs))
                 PyErr_Clear();
                 ok = 0;
             }
-        }
-        if (ok) {
-            /* Load board: grab the array('q') buffers once so the C
-             * ops can write-through without a Python call.  A board we
-             * cannot map disables the fast ops entirely (a skipped
-             * write would diverge the balance scans). */
-            PyObject *board = PyObject_GetAttrString(kernel, "_soa_board");
-            if (board == NULL) {
-                PyErr_Clear();
-                ok = 0;
-            } else if (board != Py_None) {
-                PyObject *sz = PyObject_GetAttrString(board, "_size");
-                PyObject *bl = PyObject_GetAttrString(board, "_blocked");
-                if (sz != NULL && bl != NULL &&
-                    PyObject_GetBuffer(sz, &c->board_size_buf,
-                                       PyBUF_WRITABLE) == 0) {
-                    if (PyObject_GetBuffer(bl, &c->board_blocked_buf,
-                                           PyBUF_WRITABLE) == 0 &&
-                        c->board_blocked_buf.len == c->board_size_buf.len &&
-                        c->board_size_buf.len % 8 == 0) {
-                        c->board_ok = 1;
-                    } else {
-                        if (!PyErr_Occurred())
-                            PyBuffer_Release(&c->board_blocked_buf);
-                        PyBuffer_Release(&c->board_size_buf);
-                        PyErr_Clear();
-                        ok = 0;
-                    }
-                } else {
-                    PyErr_Clear();
-                    ok = 0;
-                }
-                Py_XDECREF(sz);
-                Py_XDECREF(bl);
-            }
-            Py_XDECREF(board);
         }
         if (ok) {
             c->rq_type = rt;
@@ -2386,11 +2320,6 @@ static void
 cycle_dealloc(CycleObject *c)
 {
     PyObject_GC_UnTrack(c);
-    if (c->board_ok) {
-        PyBuffer_Release(&c->board_size_buf);
-        PyBuffer_Release(&c->board_blocked_buf);
-        c->board_ok = 0;
-    }
     cycle_clear(c);
     Py_TYPE(c)->tp_free((PyObject *)c);
 }
@@ -2398,15 +2327,16 @@ cycle_dealloc(CycleObject *c)
 static PyObject *
 cycle_counters(CycleObject *c, PyObject *Py_UNUSED(ignored))
 {
-    return Py_BuildValue("{s:L,s:L}", "fast_events", c->fast_events,
-                         "bailouts", c->bailouts);
+    return Py_BuildValue("{s:L,s:L,s:i}", "fast_events", c->fast_events,
+                         "bailouts", c->bailouts, "rq_ops", c->rq_fast);
 }
 
 static PyMethodDef cycle_methods[] = {
     {"cpu_event", (PyCFunction)cycle_cpu_event, METH_VARARGS,
      "cpu_event(cpu_id, gen): the accelerated per-CPU event callback."},
     {"counters", (PyCFunction)cycle_counters, METH_NOARGS,
-     "C-path coverage counters: {'fast_events': n, 'bailouts': n}."},
+     "C-path coverage counters: {'fast_events': n, 'bailouts': n, "
+     "'rq_ops': 0/1}."},
     {NULL, NULL, 0, NULL},
 };
 

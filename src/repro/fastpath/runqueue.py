@@ -14,11 +14,6 @@ and walks ``rq.tree.items()``) see the same interface through a small
 shim object whose ``size`` attribute is kept in sync on every mutation;
 hot kernel paths read it with one attribute load exactly as they read
 the rbtree's.
-
-When a :class:`repro.fastpath.soa.CpuLoadBoard` is attached, every
-mutation write-throughs the queue's size/blocked counts into that
-board's ``array('q')`` columns so machine-wide balance scans can run as
-numpy reductions instead of per-CPU Python loops.
 """
 
 from __future__ import annotations
@@ -113,7 +108,6 @@ class FastCfsRunqueue:
         "nr_enqueues",
         "_heap",
         "_n_stale",
-        "_board",
         "key_fn",
     )
 
@@ -134,7 +128,6 @@ class FastCfsRunqueue:
         self._heap: list[tuple[int, int, tuple[int, int], Task]] = []
         self._n_stale = 0
         self.tree = _HeapTreeView(self)
-        self._board = None  # CpuLoadBoard, attached by the kernel
 
     # ------------------------------------------------------------------
     # Size / load (same formulas as the pure runqueue)
@@ -184,11 +177,7 @@ class FastCfsRunqueue:
         if key[0] >= VB_SENTINEL:
             self.nr_blocked += 1
         self.nr_enqueues += 1
-        tv = self.tree
-        tv.size += 1
-        board = self._board
-        if board is not None:
-            board.put(self.cpu_id, tv.size, self.nr_blocked)
+        self.tree.size += 1
 
     def dequeue(self, task: Task) -> None:
         key = task.rq_key
@@ -201,9 +190,6 @@ class FastCfsRunqueue:
         self._n_stale += 1
         if self._n_stale > self._COMPACT_MIN and self._n_stale > tv.size:
             self._compact()
-        board = self._board
-        if board is not None:
-            board.put(self.cpu_id, tv.size, self.nr_blocked)
 
     def requeue(self, task: Task) -> None:
         self.dequeue(task)
@@ -247,11 +233,7 @@ class FastCfsRunqueue:
         if k0 >= VB_SENTINEL:
             self.nr_blocked -= 1
         task.rq_key = None
-        tv = self.tree
-        tv.size -= 1
-        board = self._board
-        if board is not None:
-            board.put(self.cpu_id, tv.size, self.nr_blocked)
+        self.tree.size -= 1
         return task
 
     def update_min_vruntime(self) -> None:
@@ -291,15 +273,8 @@ class FastCfsRunqueue:
         return (t for _k, t in self._sorted_live())
 
     def steal_candidates(self) -> Iterator[Task]:
-        live = self._sorted_live()
-        if len(live) >= 128:
-            # Wide queues: numpy boolean mask over the state columns
-            # (same tasks, same key order — see soa.py).
-            from .soa import steal_candidates_vector
-
-            return iter(steal_candidates_vector(live))
         return (
             t
-            for _k, t in live
+            for _k, t in self._sorted_live()
             if t.thread_state == 0 and t.state is TaskState.RUNNABLE
         )

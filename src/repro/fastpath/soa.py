@@ -1,137 +1,16 @@
-"""Struct-of-arrays CPU load board + vectorized balance-scan kernels.
+"""Placeholder: the numpy load board and vectorised balance scans were
+removed; both backends now run the kernel's scalar balancer.
 
-The pure scheduler's machine-wide scans (`_idle_pull`, `_balance_tick`)
-walk every online CPU in Python, reading ``rq.tree.size`` /
-``rq.nr_blocked`` / ``rq.curr`` per queue.  Under the fast backend each
-:class:`~repro.fastpath.runqueue.FastCfsRunqueue` write-throughs its
-size/blocked counters into one shared :class:`CpuLoadBoard` — two
-``array('q')`` columns written through a memoryview (a couple of plain
-int stores per queue mutation) and read zero-copy as numpy views — so
-the scans become boolean-mask reductions instead of per-CPU loops.
-
-Every helper reproduces the scalar loop's selection *exactly*,
-including tie-breaking:
-
-* ``pick_busiest_eligible`` mirrors the strictly-greater running-max in
-  ``_idle_pull`` (first index in online order wins a tie, floor load 1,
-  only queues with a runnable candidate are eligible);
-* ``balance_extremes`` mirrors ``max()``/``min()`` over
-  ``(nr_running, cpu_id)`` tuples (busiest tie -> largest cpu id,
-  idlest tie -> smallest cpu id).
-
-That equivalence is property-tested in ``tests/test_fastpath.py``; it
-is what keeps results bit-identical across backends.
+``pick_busiest_eligible``, ``balance_extremes`` and
+``steal_candidates_vector`` stay only because ``perfbench/layers.py``
+patches them by name.  Nothing in ``src/`` imports this module, and
+calling any of them is an error.
 """
 
-from __future__ import annotations
 
-from array import array
-
-import numpy as np
-
-from ..kernel.task import TaskState
-
-#: Below this many online CPUs the plain Python loop wins; the numpy
-#: fixed cost only pays off on wide machines.
-VECTOR_MIN_CPUS = 16
-
-#: Queue population above which steal-candidate filtering switches to a
-#: numpy boolean mask over the state columns.
-VECTOR_MIN_TASKS = 128
+def _removed(*_args, **_kwargs):
+    raise RuntimeError("repro.fastpath.soa scans were removed; "
+                       "the kernel's scalar balancer is the only one")
 
 
-class CpuLoadBoard:
-    """Machine-wide size/blocked columns, one slot per CPU."""
-
-    __slots__ = ("n", "_size", "_blocked", "_size_mv", "_blocked_mv",
-                 "size_np", "blocked_np")
-
-    def __init__(self, n_cpus: int):
-        self.n = n_cpus
-        self._size = array("q", bytes(8 * n_cpus))
-        self._blocked = array("q", bytes(8 * n_cpus))
-        # Writers go through memoryviews (fast int stores); readers get
-        # zero-copy numpy views over the same buffers.
-        self._size_mv = memoryview(self._size)
-        self._blocked_mv = memoryview(self._blocked)
-        self.size_np = np.frombuffer(self._size, dtype=np.int64)
-        self.blocked_np = np.frombuffer(self._blocked, dtype=np.int64)
-
-    def put(self, cpu_id: int, size: int, blocked: int) -> None:
-        self._size_mv[cpu_id] = size
-        self._blocked_mv[cpu_id] = blocked
-
-    def attach(self, runqueues) -> None:
-        """Wire ``rq._board = self`` and seed the columns."""
-        for rq in runqueues:
-            rq._board = self
-            self.put(rq.cpu_id, rq.tree.size, rq.nr_blocked)
-
-
-def occupancy(cpus, ids: np.ndarray) -> np.ndarray:
-    """1 where ``cpus[c].rq.curr`` is occupied, for each c in ``ids``."""
-    return np.fromiter(
-        (cpus[c].rq.curr is not None for c in ids),
-        dtype=np.int64,
-        count=len(ids),
-    )
-
-
-def pick_busiest_eligible(
-    board: CpuLoadBoard,
-    cpus,
-    ids: np.ndarray,
-    self_cpu: int,
-) -> int | None:
-    """Vectorized ``_idle_pull`` source selection.
-
-    Scalar reference: iterate ``ids`` in order keeping the first queue
-    whose load strictly exceeds the running max (seeded at 1) among
-    queues with ``size - nr_blocked > 0``, skipping ``self_cpu``.
-    ``argmax`` returns the first maximum, which is the same winner.
-    """
-    size = board.size_np[ids]
-    load = size + occupancy(cpus, ids)
-    eligible = (size - board.blocked_np[ids] > 0) & (ids != self_cpu)
-    masked = np.where(eligible, load, 0)
-    best = int(masked.max()) if masked.size else 0
-    if best <= 1:
-        return None
-    return int(ids[int(masked.argmax())])
-
-
-def balance_extremes(
-    board: CpuLoadBoard,
-    cpus,
-    ids: np.ndarray,
-) -> tuple[int, int, int, int]:
-    """Vectorized ``_balance_tick`` extremes.
-
-    Returns ``(busiest_load, busiest_id, idlest_load, idlest_id)`` with
-    exactly ``max()``/``min()``-over-``(load, cpu_id)`` semantics:
-    the busiest tie goes to the largest cpu id, the idlest tie to the
-    smallest.
-    """
-    load = board.size_np[ids] + occupancy(cpus, ids)
-    hi = int(load.max())
-    lo = int(load.min())
-    busiest_id = int(ids[load == hi].max())
-    idlest_id = int(ids[load == lo].min())
-    return hi, busiest_id, lo, idlest_id
-
-
-def steal_candidates_vector(sorted_live) -> list:
-    """Boolean-mask filter over a queue's (key, task) snapshot: tasks
-    with ``thread_state == 0`` and state RUNNABLE, in key order."""
-    tasks = [t for _k, t in sorted_live]
-    n = len(tasks)
-    if n == 0:
-        return []
-    ts = np.fromiter((t.thread_state for t in tasks), dtype=np.int64,
-                     count=n)
-    runnable = np.fromiter(
-        (t.state is TaskState.RUNNABLE for t in tasks), dtype=np.bool_,
-        count=n,
-    )
-    mask = (ts == 0) & runnable
-    return [t for t, keep in zip(tasks, mask) if keep]
+pick_busiest_eligible = balance_extremes = steal_candidates_vector = _removed

@@ -35,7 +35,6 @@ from ..core.bwd import BwdMonitor
 from ..core.virtual_blocking import VirtualBlockingPolicy
 from ..errors import DeadlockError, ProgramError, SimulationError
 from ..fastpath import make_engine, make_runqueue
-from ..fastpath import soa as _soa
 from ..hw.memmodel import MemoryModel
 from ..hw.ple import PauseLoopExiting
 from ..hw.topology import Topology
@@ -181,21 +180,6 @@ class Kernel:
             key_fn = self.policy.queue_key
             for cpu in self.cpus:
                 cpu.rq.key_fn = key_fn
-
-        # Struct-of-arrays load board (fast backend, wide machines):
-        # runqueues write-through size/blocked so balance scans run as
-        # numpy reductions.  Narrow fleets keep the scalar loops — the
-        # numpy fixed cost only pays off past VECTOR_MIN_CPUS.
-        self._soa_board = None
-        self._online_np = None
-        first_rq = self.cpus[0].rq if self.cpus else None
-        if (
-            len(self.cpus) >= _soa.VECTOR_MIN_CPUS
-            and hasattr(first_rq, "_board")
-        ):
-            board = _soa.CpuLoadBoard(len(self.cpus))
-            board.attach([c.rq for c in self.cpus])
-            self._soa_board = board
 
         # Schedstats + PSI-style pressure accounting (docs/telemetry.md).
         # ``psi_waiting``/``psi_running`` track runnable-not-running and
@@ -517,7 +501,6 @@ class Kernel:
         current = len(self._online)
         if n == current:
             return
-        self._online_np = None  # invalidate the vector-scan id cache
         if n > current:
             for cpu_id in range(current, n):
                 self.cpus[cpu_id].online = True
@@ -1689,49 +1672,28 @@ class Kernel:
     # ==================================================================
     # Load balancing
     # ==================================================================
-    def _online_ids(self):
-        """Online cpu ids as an int64 numpy array (cached; invalidated
-        on hot-plug)."""
-        ids = self._online_np
-        if ids is None:
-            ids = _soa.np.asarray(self._online, dtype=_soa.np.int64)
-            self._online_np = ids
-        return ids
-
     def _idle_pull(self, cpu: CpuState) -> Task | None:
         """Newly-idle balance: steal one runnable task from the busiest CPU."""
         if not self.config.scheduler.idle_balance:
             return None
         busiest: CpuState | None = None
-        board = self._soa_board
-        if board is not None and len(self._online) >= _soa.VECTOR_MIN_CPUS:
-            # Vectorized source selection over the write-through load
-            # columns; tie-breaking matches the scalar loop exactly
-            # (first strictly-greater maximum in online order).
-            busiest_id = _soa.pick_busiest_eligible(
-                board, self.cpus, self._online_ids(), cpu.id
-            )
-            if busiest_id is None:
-                return None
-            busiest = self.cpus[busiest_id]
-        else:
-            busiest_load = 1
-            for cpu_id in self._online:
-                other = self.cpus[cpu_id]
-                if other is cpu:
-                    continue
-                rq = other.rq
-                # O(1) existence check: queued runnable == steal candidates
-                # modulo pinning/cache-hotness, which _migratable re-filters.
-                # (nr_running/nr_queued_runnable spelled out: this loop
-                # visits every online CPU on each newly-idle balance.)
-                size = rq.tree.size
-                load = size + (1 if rq.curr is not None else 0)
-                if load > busiest_load and size - rq.nr_blocked > 0:
-                    busiest = other
-                    busiest_load = load
-            if busiest is None:
-                return None
+        busiest_load = 1
+        for cpu_id in self._online:
+            other = self.cpus[cpu_id]
+            if other is cpu:
+                continue
+            rq = other.rq
+            # O(1) existence check: queued runnable == steal candidates
+            # modulo pinning/cache-hotness, which _migratable re-filters.
+            # (nr_running/nr_queued_runnable spelled out: this loop
+            # visits every online CPU on each newly-idle balance.)
+            size = rq.tree.size
+            load = size + (1 if rq.curr is not None else 0)
+            if load > busiest_load and size - rq.nr_blocked > 0:
+                busiest = other
+                busiest_load = load
+        if busiest is None:
+            return None
         cands = self._migratable(busiest.rq.steal_candidates())
         if not self._policy_cfs:
             cands = list(self.policy.steal_order(cands))
@@ -1781,24 +1743,10 @@ class Kernel:
                 now, "balance-scan", -1, None,
                 loads=[self.cpus[c].rq.nr_running for c in self._online],
             )
-        board = self._soa_board
-        vector = (
-            board is not None and len(self._online) >= _soa.VECTOR_MIN_CPUS
-        )
         for _ in range(4):  # bounded work per tick
-            if vector:
-                # max()/min() over (load, cpu_id) tuples, vectorized:
-                # busiest tie -> largest id, idlest tie -> smallest.
-                busiest_load, busiest_id, idlest_load, idlest_id = (
-                    _soa.balance_extremes(board, self.cpus,
-                                          self._online_ids())
-                )
-            else:
-                loads = [
-                    (self.cpus[c].rq.nr_running, c) for c in self._online
-                ]
-                busiest_load, busiest_id = max(loads)
-                idlest_load, idlest_id = min(loads)
+            loads = [(self.cpus[c].rq.nr_running, c) for c in self._online]
+            busiest_load, busiest_id = max(loads)
+            idlest_load, idlest_id = min(loads)
             if busiest_load - idlest_load < 2:
                 return
             if (busiest_load - idlest_load) <= sched.imbalance_pct * busiest_load:

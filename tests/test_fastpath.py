@@ -8,32 +8,32 @@ docs/performance.md:
   callbacks) through the pure wheel, the slab fallback, and the compiled
   C core, asserting identical event order, clock, pending count, and
   peek time at every step;
-* runqueue/scan parity — the heap runqueue must reproduce the rbtree's
-  pick order op for op, and the numpy balance-scan kernels must pick the
-  same CPUs as the scalar loops, ties included;
+* runqueue parity — the heap runqueue must reproduce the rbtree's pick
+  order op for op;
 * kernel trace parity — the same scenario run under ``pure`` and
-  ``fast`` must produce byte-identical trace streams.
+  ``fast`` must produce byte-identical trace streams, including a
+  32-CPU futex-heavy run that drives the balancer through CPU hot-plug.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import numpy as np
-
-from repro.config import vanilla_config
+from repro.config import optimized_config, vanilla_config
 from repro.fastpath import (
     BACKENDS,
     backend_info,
     current_backend,
     engine_class,
+    fastcore_available,
     make_engine,
     make_runqueue,
     set_backend,
 )
-from repro.fastpath import soa
 from repro.fastpath.parity import (
     engine_backends,
     engine_parity,
@@ -43,7 +43,15 @@ from repro.fastpath.runqueue import FastCfsRunqueue
 from repro.kernel.kernel import Kernel
 from repro.kernel.runqueue import CfsRunqueue
 from repro.kernel.task import Task, TaskState
-from repro.prog.actions import Compute, SleepNs, Yield
+from repro.prog.actions import (
+    BarrierWait,
+    Compute,
+    MutexAcquire,
+    MutexRelease,
+    SleepNs,
+    Yield,
+)
+from repro.sync import Barrier, Mutex
 
 MS = 1_000_000
 US = 1_000
@@ -230,91 +238,6 @@ def test_runqueue_tree_view_matches():
 
 
 # ---------------------------------------------------------------------------
-# Vectorized balance scans vs the scalar loops
-# ---------------------------------------------------------------------------
-
-class _StubRq:
-    def __init__(self, curr):
-        self.curr = curr
-
-
-class _StubCpu:
-    def __init__(self, cpu_id, occupied):
-        self.id = cpu_id
-        self.rq = _StubRq(object() if occupied else None)
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    st.integers(min_value=2, max_value=24).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.lists(
-                st.tuples(
-                    st.integers(min_value=0, max_value=5),   # size
-                    st.integers(min_value=0, max_value=5),   # blocked (clamped)
-                    st.booleans(),                           # occupied
-                ),
-                min_size=n,
-                max_size=n,
-            ),
-            st.integers(min_value=0, max_value=n - 1),       # self cpu
-        )
-    )
-)
-def test_vector_scans_match_scalar(args):
-    n, rows, self_idx = args
-    board = soa.CpuLoadBoard(n)
-    cpus = []
-    for cpu_id, (size, blocked, occupied) in enumerate(rows):
-        blocked = min(blocked, size)
-        board.put(cpu_id, size, blocked)
-        cpus.append(_StubCpu(cpu_id, occupied))
-    ids = np.arange(n, dtype=np.int64)
-    self_cpu = int(ids[self_idx])
-
-    # Scalar _idle_pull source selection (kernel.py reference loop).
-    busiest, busiest_load = None, 1
-    for cpu_id in range(n):
-        if cpu_id == self_cpu:
-            continue
-        size = int(board.size_np[cpu_id])
-        blocked = int(board.blocked_np[cpu_id])
-        load = size + (1 if cpus[cpu_id].rq.curr is not None else 0)
-        if load > busiest_load and size - blocked > 0:
-            busiest, busiest_load = cpu_id, load
-    assert soa.pick_busiest_eligible(board, cpus, ids, self_cpu) == busiest
-
-    # Scalar _balance_tick extremes (max/min over (load, cpu_id)).
-    loads = [
-        (
-            int(board.size_np[c])
-            + (1 if cpus[c].rq.curr is not None else 0),
-            c,
-        )
-        for c in range(n)
-    ]
-    expect = (*max(loads), *min(loads))
-    got = soa.balance_extremes(board, cpus, ids)
-    assert (got[0], got[1], got[2], got[3]) == (
-        expect[0], expect[1], expect[2], expect[3],
-    )
-
-
-def test_steal_candidates_vector_matches_filter():
-    _pure, tasks = _mirrored_tasks(12)
-    for i, t in enumerate(tasks):
-        t.thread_state = i % 3 == 0
-        t.state = TaskState.RUNNABLE if i % 4 else TaskState.SLEEPING
-    live = [((t.vruntime, i), t) for i, t in enumerate(tasks)]
-    expect = [
-        t for _k, t in live
-        if t.thread_state == 0 and t.state is TaskState.RUNNABLE
-    ]
-    assert soa.steal_candidates_vector(live) == expect
-
-
-# ---------------------------------------------------------------------------
 # Kernel trace parity across backends
 # ---------------------------------------------------------------------------
 
@@ -337,28 +260,106 @@ def test_kernel_trace_parity_mixed_workload():
     assert streams["pure"] == streams["fast"]
 
 
-def test_kernel_results_identical_across_backends():
+def _untraced_results(make_config, scenario, horizon_ns) -> dict:
+    """Clock, event count and per-task stats under each backend.  No
+    tracing, so the fast kernel stays on the C cycle and its runqueue
+    ops instead of bailing to Python on every event."""
     def run():
-        k = Kernel(vanilla_config(cores=4, seed=2021))
-        _mixed_scenario(k)
-        k.run_for(20 * MS)
-        stats = [
-            (t.name, t.stats.cpu_ns, t.stats.wait_ns, t.vruntime,
-             t.stats.nr_switches)
-            for t in k.tasks
-        ]
+        k = Kernel(make_config())
+        scenario(k)
+        k.run_for(horizon_ns)
+        stats = [(t.name, t.vruntime, dataclasses.astuple(t.stats))
+                 for t in k.tasks]
         k.shutdown()
         return k.now, k.engine.events_run, stats
 
     prev = current_backend()
+    results = {}
     try:
-        set_backend("pure")
-        pure = run()
-        set_backend("fast")
-        fast = run()
+        for backend in ("pure", "fast"):
+            set_backend(backend)
+            results[backend] = run()
     finally:
         set_backend(prev)
-    assert pure == fast
+    return results
+
+
+def test_kernel_results_identical_across_backends():
+    results = _untraced_results(lambda: vanilla_config(cores=4, seed=2021),
+                                _mixed_scenario, 20 * MS)
+    assert results["pure"] == results["fast"]
+
+
+def _wide_scenario(kernel: Kernel) -> None:
+    """Futex-heavy load on 32 CPUs that shrinks to 16 and grows back,
+    so newly-idle pulls and periodic balance ticks both fire."""
+    locks = [Mutex(f"wide.m{j}") for j in range(4)]
+    bar = Barrier(8, "wide.bar")
+
+    def locker(i):
+        m = locks[i % 4]
+        for r in range(40):
+            yield Compute(150 * US + (i * 13 % 7) * 10 * US)
+            yield MutexAcquire(m)
+            yield Compute(5 * US)
+            yield MutexRelease(m)
+            if (i + r) % 5 == 0:
+                yield SleepNs(100 * US)
+
+    def stage(i):
+        for _ in range(40):
+            yield Compute(150 * US + i * 10 * US)
+            yield BarrierWait(bar)
+
+    def hog(i):
+        for _ in range(30):
+            yield Compute(400 * US + i * 10 * US)
+            yield Yield()
+
+    for i in range(40):
+        kernel.spawn(locker(i), name=f"lk{i}")
+    for i in range(8):
+        kernel.spawn(stage(i), name=f"st{i}")
+    for i in range(16):
+        kernel.spawn(hog(i), name=f"hog{i}")
+    kernel.engine.schedule_at(kernel.now + 2 * MS, kernel.set_online_cpus, 16)
+    kernel.engine.schedule_at(kernel.now + 10 * MS, kernel.set_online_cpus, 32)
+
+
+_WIDE_CONFIGS = {
+    "vanilla": lambda: vanilla_config(cores=32, seed=2021),
+    "optimized": lambda: optimized_config(cores=32, seed=2021),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WIDE_CONFIGS))
+def test_wide_machine_balancer_parity(name):
+    horizon = 30 * MS
+    streams = kernel_trace_parity(_wide_scenario, horizon_ns=horizon,
+                                  config=_WIDE_CONFIGS[name]())
+    kinds = {e[1] for e in streams["pure"]}
+    assert {"idle-pull", "balance"} <= kinds, kinds
+    assert streams["pure"] == streams["fast"]
+
+    results = _untraced_results(_WIDE_CONFIGS[name], _wide_scenario, horizon)
+    assert results["pure"] == results["fast"]
+
+
+@pytest.mark.parametrize("cores", [4, 32])
+def test_cycle_keeps_runqueue_ops(cores):
+    # A runqueue slot the C cycle cannot resolve silently turns its fast
+    # runqueue ops off; counters() reports that as rq_ops == 0.
+    if not fastcore_available():  # pragma: no cover - no C compiler
+        pytest.skip("C core unavailable")
+    prev = current_backend()
+    try:
+        set_backend("fast")
+        k = Kernel(vanilla_config(cores=cores, seed=1))
+    finally:
+        set_backend(prev)
+    assert k._cycle is not None
+    assert k._cycle.counters()["rq_ops"] == 1
+    k.shutdown()
 
 
 # ---------------------------------------------------------------------------
