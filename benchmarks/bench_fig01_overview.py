@@ -6,11 +6,14 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.runners import figures, format_table
+from repro.runners.full_report import ReportParams, run_section
 from repro.workloads import Group, SUITE
 
 
 def test_fig01_overview(benchmark):
-    rows = run_once(benchmark, figures.fig01_overview, work_scale=0.5)
+    rows = figures.fig01_rows(run_once(
+        benchmark, run_section, "fig01", ReportParams(scale=0.5, quick=False)
+    ))
     print()
     print(
         format_table(

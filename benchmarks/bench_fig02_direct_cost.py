@@ -5,12 +5,13 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.runners import figures, format_table
+from repro.runners.full_report import ReportParams, run_section
 
 
 def test_fig02_direct_cost(benchmark):
-    rows, per_switch = run_once(
-        benchmark, figures.fig02_direct_cost, max_threads=8, total_work_ms=30
-    )
+    rows, per_switch = figures.fig02_rows(run_once(
+        benchmark, run_section, "fig02", ReportParams(scale=1.0, quick=False)
+    ))
     print()
     print(
         format_table(

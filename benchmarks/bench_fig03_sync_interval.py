@@ -5,10 +5,13 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.runners import figures, format_table
+from repro.runners.full_report import ReportParams, run_section
 
 
 def test_fig03_sync_intervals(benchmark):
-    rows = run_once(benchmark, figures.fig03_sync_intervals, work_scale=0.5)
+    rows = figures.fig03_rows(run_once(
+        benchmark, run_section, "fig03", ReportParams(scale=0.5, quick=False)
+    ))
     hist = figures.fig03_histogram(rows)
     print()
     print(

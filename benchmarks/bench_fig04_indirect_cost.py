@@ -6,13 +6,16 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.runners import figures, format_table
+from repro.runners.full_report import ReportParams, run_section
 
 KB = 1024
 MB = 1024 * KB
 
 
 def test_fig04_indirect_cost(benchmark):
-    out = run_once(benchmark, figures.fig04_indirect_cost)
+    out = figures.fig04_series(run_once(
+        benchmark, run_section, "fig04", ReportParams(scale=1.0, quick=False)
+    ))
     sizes = [s for s, _ in out["seq-r"]]
     print()
     print(

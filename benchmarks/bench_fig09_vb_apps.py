@@ -6,6 +6,7 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.runners import figures, format_table
+from repro.runners.full_report import ReportParams, run_section
 
 
 def _check(rows):
@@ -20,9 +21,9 @@ def _check(rows):
 
 
 def test_fig09_8cores(benchmark):
-    rows = run_once(
-        benchmark, figures.fig09_vb_applications, work_scale=0.5, smt=False
-    )
+    rows = figures.fig09_rows(run_once(
+        benchmark, run_section, "fig09", ReportParams(scale=0.5, quick=False)
+    ))
     print()
     print(
         format_table(
@@ -37,13 +38,13 @@ def test_fig09_8cores(benchmark):
 
 
 def test_fig09_8hyperthreads(benchmark):
-    rows = run_once(
-        benchmark,
-        figures.fig09_vb_applications,
-        work_scale=0.4,
-        smt=True,
-        names=["streamcluster", "ocean", "cg", "is", "sp"],
-    )
+    # Same runs on 8 hyperthreads of 4 cores: an SMT descriptor override.
+    rows = figures.fig09_rows(run_once(
+        benchmark, run_section, "fig09", ReportParams(scale=0.4, quick=False),
+        keep=lambda sid: sid.split("/")[1] in (
+            "streamcluster", "ocean", "cg", "is", "sp"),
+        rewrite=lambda p: {**p, "config": {**p["config"], "smt": True}},
+    ))
     print()
     print(
         format_table(

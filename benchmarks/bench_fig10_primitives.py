@@ -5,16 +5,14 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.runners import figures, format_table
+from repro.runners.full_report import ReportParams, run_section
 
 
 def test_fig10_primitives(benchmark):
-    part_a, part_b = run_once(
-        benchmark,
-        figures.fig10_primitives,
-        thread_counts=[1, 2, 4, 8, 16, 32],
-        core_counts=[1, 2, 4, 8, 16, 32],
-        iterations=600,
-    )
+    part_a, part_b = figures.fig10_rows(run_once(
+        benchmark, run_section, "fig10", ReportParams(scale=1.0, quick=False),
+        rewrite=lambda p: {**p, "iterations": 600},
+    ))
     print()
     print(
         format_table(

@@ -6,15 +6,13 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.runners import figures, format_table
+from repro.runners.full_report import ReportParams, run_section
 
 
 def test_fig11_elasticity(benchmark):
-    points = run_once(
-        benchmark,
-        figures.fig11_elasticity,
-        core_counts=[2, 4, 8, 16, 32],
-        work_scale=0.35,
-    )
+    points = figures.fig11_points(run_once(
+        benchmark, run_section, "fig11", ReportParams(scale=0.35, quick=False)
+    ))
     by = {}
     for p in points:
         by.setdefault(p.app, {})[(p.cores, p.setting)] = p.duration_ns

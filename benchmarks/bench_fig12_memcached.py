@@ -5,13 +5,14 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.runners import figures, format_table
+from repro.runners.full_report import ReportParams, run_section
 
 
 def test_fig12_memcached(benchmark):
-    rows = run_once(
-        benchmark, figures.fig12_memcached, core_counts=[4, 8, 16],
-        duration_ms=300,
-    )
+    rows = figures.fig12_rows(run_once(
+        benchmark, run_section, "fig12", ReportParams(scale=1.0, quick=False),
+        rewrite=lambda p: {**p, "duration_ms": 300},
+    ))
     print()
     print(
         format_table(

@@ -6,12 +6,14 @@ from conftest import run_once
 
 from repro.runners import figures, format_table
 from repro.runners.figures import SPINLOCK_ORDER
+from repro.runners.full_report import ReportParams, run_section
 
 
 def test_fig13_spinlocks(benchmark):
-    rows = run_once(
-        benchmark, figures.fig13_spinlocks, total_stages=640
-    )
+    rows = figures.fig13_rows(run_once(
+        benchmark, run_section, "fig13", ReportParams(scale=1.0, quick=False),
+        rewrite=lambda p: {**p, "total_stages": 640},
+    ))
     by = {}
     for r in rows:
         by.setdefault((r.environment, r.algorithm), {})[r.setting] = (

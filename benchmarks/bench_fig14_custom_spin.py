@@ -5,12 +5,13 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.runners import figures, format_table
+from repro.runners.full_report import ReportParams, run_section
 
 
 def test_fig14_custom_spin(benchmark):
-    rows = run_once(
-        benchmark, figures.fig14_custom_spin, work_scale=0.4
-    )
+    rows = figures.fig14_rows(run_once(
+        benchmark, run_section, "fig14", ReportParams(scale=0.4, quick=False)
+    ))
     by = {}
     for r in rows:
         by.setdefault((r.app, r.environment), {})[(r.nthreads, r.setting)] = (

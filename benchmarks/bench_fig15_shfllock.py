@@ -6,12 +6,15 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.runners import figures, format_table
+from repro.runners.full_report import ReportParams, run_section
 
 LOCKS = ["pthread", "mutexee", "mcstp", "shfllock", "optimized"]
 
 
 def test_fig15_lock_comparison(benchmark):
-    rows = run_once(benchmark, figures.fig15_lock_comparison, work_scale=0.5)
+    rows = figures.fig15_rows(run_once(
+        benchmark, run_section, "fig15", ReportParams(scale=0.5, quick=False)
+    ))
     by = {}
     for r in rows:
         by.setdefault(r.app, {})[r.lock] = r.duration_ns

@@ -7,10 +7,13 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.runners import figures, format_table
+from repro.runners.full_report import ReportParams, run_section
 
 
 def test_table1_runtime_stats(benchmark):
-    rows = run_once(benchmark, figures.fig09_vb_applications, work_scale=0.5)
+    rows = figures.fig09_rows(run_once(
+        benchmark, run_section, "fig09", ReportParams(scale=0.5, quick=False)
+    ))
     print()
     print(
         format_table(

@@ -5,12 +5,14 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.runners import figures, format_table
+from repro.runners.full_report import ReportParams, run_section
 
 
 def test_table2_true_positive(benchmark):
-    results = run_once(
-        benchmark, figures.table2_true_positive, duration_ms=2_000
-    )
+    results = figures.table2_rows(run_once(
+        benchmark, run_section, "table2", ReportParams(scale=1.0, quick=False),
+        rewrite=lambda p: {**p, "duration_ms": 2_000},
+    ))
     print()
     print(
         format_table(

@@ -6,6 +6,7 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.runners import figures, format_table
+from repro.runners.full_report import ReportParams, run_section
 
 # Paper-reported specificity per app, for the printed comparison.
 PAPER_SPECIFICITY = {
@@ -15,9 +16,9 @@ PAPER_SPECIFICITY = {
 
 
 def test_table3_false_positive(benchmark):
-    results = run_once(
-        benchmark, figures.table3_false_positive, work_scale=1.0
-    )
+    results = figures.table3_rows(run_once(
+        benchmark, run_section, "table3", ReportParams(scale=1.0, quick=False)
+    ))
     print()
     print(
         format_table(

@@ -27,8 +27,10 @@ Quickstart::
     kernel.run_to_completion()
     print(f"finished at {kernel.now / 1e6:.2f} ms")
 
-Experiment drivers for every figure and table live in
-`repro.runners.figures`.
+Every figure and table is a section of the report in
+`repro.runners.full_report` (``python -m repro all``, or one section
+with ``python -m repro fig09``); `repro.runners.figures` turns a
+section's results into rows.
 """
 
 from .config import (

@@ -40,7 +40,8 @@ EXIT_FAILURE = 1
 #: into a one-line structured error instead of a traceback.
 EXIT_USAGE = 2
 
-#: ``repro all --strict`` / ``run_all.py --strict``: one or more
+#: ``repro all --strict`` / ``run_all.py --strict`` (or a figure command
+#: with ``--strict``): one or more
 #: experiment specs failed after retries, so results are partial.
 #: (Shares the number 2 with usage errors, matching argparse.)
 EXIT_PARTIAL = 2
@@ -49,7 +50,8 @@ EXIT_PARTIAL = 2
 #: (a replay bundle is written alongside).
 EXIT_CHAOS_VIOLATION = 3
 
-#: ``repro validate`` (and ``repro all --validate``): a fidelity spec
+#: ``repro validate`` (and ``repro all`` / ``repro figNN`` with
+#: ``--validate``): a fidelity spec
 #: drifted out of its paper band with no catalogued deviation.
 EXIT_FIDELITY_VIOLATION = 4
 
@@ -65,11 +67,12 @@ EXIT_TABLE: list[tuple[int, str, str]] = [
     (EXIT_USAGE, "usage error, or partial results under `--strict`",
      "argparse (bad flags); any command handed a truncated/corrupt plan "
      "or bundle file or a bad `--resilience` value (ConfigError); "
-     "`repro all --strict` / `run_all.py --strict` "
-     "when specs failed after retries"),
+     "`repro all --strict` / `run_all.py --strict` / `repro figNN "
+     "--strict` when specs failed after retries"),
     (EXIT_CHAOS_VIOLATION, "kernel invariant violation",
      "`repro chaos run` (a replay bundle is written)"),
     (EXIT_FIDELITY_VIOLATION, "paper-fidelity violation",
-     "`repro validate`, `repro all --validate` (a spec left its band "
+     "`repro validate`, `repro all --validate`, `repro figNN --validate` "
+     "(a spec left its band "
      "with no catalogued deviation)"),
 ]

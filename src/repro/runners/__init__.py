@@ -1,4 +1,4 @@
-"""Experiment drivers that regenerate every table and figure."""
+"""The report that regenerates every table and figure, and its runners."""
 
 from . import ablations, adaptation, figures, full_report, parallel
 from .report import format_table

@@ -1,54 +1,29 @@
-"""Drivers that regenerate every table and figure of the paper.
+"""Rows of every table and figure of the paper, read from report results.
 
-Each ``figNN_*`` / ``tableN_*`` function runs the corresponding experiment
-and returns structured rows; ``format_table`` renders them like the paper's
-tables.  Absolute times are simulated-virtual; the claims to check are the
-*shapes*: who wins, by what factor, where the crossovers fall (recorded in
-EXPERIMENTS.md).
+The experimental design of each figure lives in exactly one place: the
+section spec builders of :mod:`repro.runners.full_report`.  This module
+keeps what sits around that design — the app and lock lists, the row
+dataclasses, and one row builder per figure that turns a
+``{spec_id: result}`` dict (a report run, or
+:func:`~repro.runners.full_report.run_section`) into rows.  The report's
+renderers, the claim tests and the benchmark scripts all read rows
+through these builders.
 
-``work_scale`` shrinks or grows the synthetic problem sizes so the full
-suite can run in seconds (benchmarks) or minutes (full fidelity).
+Builders decode the spec ids and walk the dict in spec order, so a
+caller that ran a subset of a section gets the rows of that subset.
+Absolute times are simulated-virtual; the claims to check are the
+*shapes*: who wins, by what factor, where the crossovers fall (recorded
+in EXPERIMENTS.md).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Callable
+from typing import Iterator
 
-from ..config import (
-    ExecMode,
-    SimConfig,
-    optimized_config,
-    ple_config,
-    vanilla_config,
-)
-from ..hw.memmodel import AccessPattern, MemoryModel
-from ..config import HardwareConfig
 from ..metrics.stats import LatencySummary
-from ..workloads.memcached import MemcachedConfig, memcached_run
-from ..workloads.microbench import (
-    direct_cost_per_switch_ns,
-    direct_cost_run,
-    primitive_stress_run,
-)
-from ..workloads.pipeline import spin_pipeline_run
-from ..workloads.profiles import (
-    SUITE,
-    BenchmarkProfile,
-    Group,
-    SyncKind,
-    fig9_profiles,
-    profile,
-)
-from ..workloads.spindetect import (
-    FpResult,
-    TpResult,
-    false_positive_probe,
-    true_positive_probe,
-)
-from ..workloads.synthetic import run_suite_benchmark
-from ..sync import Mutex, Mutexee, McsTp, ShflLock
+from ..workloads.profiles import SUITE
+from ..workloads.spindetect import FpResult, TpResult
 
 SPINLOCK_ORDER = [
     "alock-ls", "clh", "malth", "mcs", "partitioned",
@@ -60,14 +35,13 @@ FIG15_APPS = ["freqmine", "streamcluster", "lu_cb", "ocean", "radix"]
 TABLE3_APPS = ["is", "ep", "cg", "mg", "ft", "sp", "bt", "ua"]
 
 
-def _suite_opt_config(prof: BenchmarkProfile, cores: int, smt: bool = False,
-                      seed: int = 2021) -> SimConfig:
-    """The paper's per-section 'optimized' kernel: VB for blocking
-    workloads (Section 4.2), BWD for spinning ones (Section 4.3)."""
-    spinning = prof.group is Group.SUFFER_SPINNING
-    return optimized_config(
-        cores=cores, smt=smt, seed=seed, vb=not spinning, bwd=spinning
-    )
+def _points(res: dict, section: str) -> Iterator[tuple[list[str], dict]]:
+    """``(id fields after the section key, result)`` for every spec of
+    one section, in spec order."""
+    prefix = section + "/"
+    for sid, r in res.items():
+        if sid.startswith(prefix):
+            yield sid[len(prefix):].split("/"), r
 
 
 # =====================================================================
@@ -86,30 +60,17 @@ class Fig1Row:
         return self.t32_ns / self.t8_ns
 
 
-def fig01_overview(
-    work_scale: float = 1.0,
-    names: list[str] | None = None,
-    seed: int = 2021,
-) -> list[Fig1Row]:
-    rows = []
-    for name in names or list(SUITE):
-        prof = SUITE[name]
-        base = run_suite_benchmark(
-            prof, 8, vanilla_config(cores=8, seed=seed), work_scale=work_scale
+def fig01_rows(res: dict) -> list[Fig1Row]:
+    return [
+        Fig1Row(
+            name=name,
+            group=SUITE[name].group.value,
+            t8_ns=r["duration_ns"],
+            t32_ns=res[f"fig01/{name}/32T"]["duration_ns"],
+            paper_ratio=SUITE[name].fig1_expected,
         )
-        over = run_suite_benchmark(
-            prof, 32, vanilla_config(cores=8, seed=seed), work_scale=work_scale
-        )
-        rows.append(
-            Fig1Row(
-                name=name,
-                group=prof.group.value,
-                t8_ns=base.duration_ns,
-                t32_ns=over.duration_ns,
-                paper_ratio=prof.fig1_expected,
-            )
-        )
-    return rows
+        for (name, n), r in _points(res, "fig01") if n == "8T"
+    ]
 
 
 # =====================================================================
@@ -124,31 +85,23 @@ class Fig2Row:
     atomic_normalized: float
 
 
-def fig02_direct_cost(
-    max_threads: int = 8,
-    total_work_ms: float = 30.0,
-    seed: int = 2021,
-) -> tuple[list[Fig2Row], float]:
-    """Returns the per-thread-count rows plus the backed-out per-switch
-    cost in nanoseconds (the paper measures ~1500 ns)."""
-    cfg = vanilla_config(cores=1, seed=seed)
-    pure1 = direct_cost_run(cfg, 1, total_work_ms)
-    atomic1 = direct_cost_run(cfg, 1, total_work_ms, atomic=True)
+def fig02_rows(res: dict) -> tuple[list[Fig2Row], float]:
+    """The per-thread-count rows plus the backed-out per-switch cost in
+    nanoseconds (the paper measures ~1500 ns)."""
+    pure1 = res["fig02/1T/pure"]["duration_ns"]
+    atomic1 = res["fig02/1T/atomic"]["duration_ns"]
     rows = []
-    for n in range(1, max_threads + 1):
-        p = direct_cost_run(cfg, n, total_work_ms)
-        a = direct_cost_run(cfg, n, total_work_ms, atomic=True)
-        rows.append(
-            Fig2Row(
-                nthreads=n,
-                pure_ns=p.duration_ns,
-                atomic_ns=a.duration_ns,
-                pure_normalized=p.duration_ns / pure1.duration_ns,
-                atomic_normalized=a.duration_ns / atomic1.duration_ns,
-            )
-        )
-    per_switch = direct_cost_per_switch_ns(cfg, nthreads=max_threads)
-    return rows, per_switch
+    for fields, r in _points(res, "fig02"):
+        if fields[-1] != "pure":
+            continue
+        pure = r["duration_ns"]
+        atomic = res[f"fig02/{fields[0]}/atomic"]["duration_ns"]
+        rows.append(Fig2Row(
+            nthreads=int(fields[0][:-1]), pure_ns=pure, atomic_ns=atomic,
+            pure_normalized=pure / pure1,
+            atomic_normalized=atomic / atomic1,
+        ))
+    return rows, res["fig02/per_switch"]["per_switch_ns"]
 
 
 # =====================================================================
@@ -160,22 +113,13 @@ class Fig3Row:
     interval_us: float  # measured: CPU time divided by blocking syncs
 
 
-def fig03_sync_intervals(
-    work_scale: float = 0.5, seed: int = 2021
-) -> list[Fig3Row]:
+def fig03_rows(res: dict) -> list[Fig3Row]:
     rows = []
-    for name, prof in SUITE.items():
-        if prof.kind is SyncKind.SPIN_WAVEFRONT:
-            continue  # spinning apps do not block; Figure 3 counts blocks
-        run = run_suite_benchmark(
-            prof,
-            prof.optimal_threads,
-            vanilla_config(cores=32, seed=seed),
-            work_scale=work_scale,
-        )
-        blocks = max(1, run.stats.blocks)
-        interval_us = run.stats.total_cpu_ns / blocks / 1e3
-        rows.append(Fig3Row(name=name, interval_us=interval_us))
+    for (name,), r in _points(res, "fig03"):
+        blocks = max(1, r["stats"]["blocks"])
+        rows.append(Fig3Row(
+            name=name, interval_us=r["stats"]["total_cpu_ns"] / blocks / 1e3,
+        ))
     return rows
 
 
@@ -196,26 +140,12 @@ def fig03_histogram(
 # =====================================================================
 # Figure 4 — indirect cost of context switches vs working-set size
 # =====================================================================
-def fig04_indirect_cost(
-    sizes_bytes: list[int] | None = None,
-    nthreads: int = 2,
-) -> dict[str, list[tuple[int, float]]]:
+def fig04_series(res: dict) -> dict[str, list[tuple[int, float]]]:
     """Per access pattern: (total array bytes, cost per CS in ns)."""
-    KB = 1024
-    MB = 1024 * KB
-    sizes = sizes_bytes or [
-        64 * KB, 128 * KB, 256 * KB, 512 * KB, 1 * MB, 2 * MB, 4 * MB,
-        8 * MB, 16 * MB, 32 * MB, 64 * MB, 128 * MB,
-    ]
-    model = MemoryModel(HardwareConfig())
-    out: dict[str, list[tuple[int, float]]] = {}
-    for pattern in AccessPattern:
-        series = []
-        for size in sizes:
-            r = model.indirect_cs_cost(pattern, size, nthreads=nthreads)
-            series.append((size, r["cost_per_cs_ns"]))
-        out[pattern.value] = series
-    return out
+    return {
+        pattern: [tuple(pair) for pair in r["series"]]
+        for (pattern,), r in _points(res, "fig04")
+    }
 
 
 # =====================================================================
@@ -224,7 +154,6 @@ def fig04_indirect_cost(
 @dataclass(frozen=True)
 class Fig9Row:
     name: str
-    smt: bool
     t8_vanilla_ns: int
     t32_vanilla_ns: int
     t32_optimized_ns: int
@@ -247,41 +176,31 @@ class Fig9Row:
         return self.t32_optimized_ns / self.t8_vanilla_ns
 
 
-def fig09_vb_applications(
-    work_scale: float = 1.0,
-    smt: bool = False,
-    names: list[str] | None = None,
-    seed: int = 2021,
-) -> list[Fig9Row]:
-    """Figure 9's runs; Table 1 reads the same rows' util/migration columns."""
+def fig09_rows(res: dict) -> list[Fig9Row]:
+    """Figure 9's runs; Table 1 reads the same rows' util/migration
+    columns."""
     rows = []
-    profs = (
-        [SUITE[n] for n in names] if names is not None else fig9_profiles()
-    )
-    for prof in profs:
-        van = vanilla_config(cores=8, smt=smt, seed=seed)
-        opt = _suite_opt_config(prof, cores=8, smt=smt, seed=seed)
-        base = run_suite_benchmark(prof, 8, van, work_scale=work_scale)
-        over = run_suite_benchmark(prof, 32, van, work_scale=work_scale)
-        best = run_suite_benchmark(prof, 32, opt, work_scale=work_scale)
-        rows.append(
-            Fig9Row(
-                name=prof.name,
-                smt=smt,
-                t8_vanilla_ns=base.duration_ns,
-                t32_vanilla_ns=over.duration_ns,
-                t32_optimized_ns=best.duration_ns,
-                util_8t=base.stats.cpu_utilization_pct,
-                util_32t=over.stats.cpu_utilization_pct,
-                util_opt=best.stats.cpu_utilization_pct,
-                migr_in_8t=base.stats.migrations_in_node,
-                migr_in_32t=over.stats.migrations_in_node,
-                migr_in_opt=best.stats.migrations_in_node,
-                migr_cross_8t=base.stats.migrations_cross_node,
-                migr_cross_32t=over.stats.migrations_cross_node,
-                migr_cross_opt=best.stats.migrations_cross_node,
-            )
-        )
+    for (name, label), base in _points(res, "fig09"):
+        if label != "8T":
+            continue
+        over = res[f"fig09/{name}/32T"]
+        best = res[f"fig09/{name}/opt"]
+        s8, s32, sop = base["stats"], over["stats"], best["stats"]
+        rows.append(Fig9Row(
+            name=name,
+            t8_vanilla_ns=base["duration_ns"],
+            t32_vanilla_ns=over["duration_ns"],
+            t32_optimized_ns=best["duration_ns"],
+            util_8t=s8["cpu_utilization_pct"],
+            util_32t=s32["cpu_utilization_pct"],
+            util_opt=sop["cpu_utilization_pct"],
+            migr_in_8t=s8["migrations_in_node"],
+            migr_in_32t=s32["migrations_in_node"],
+            migr_in_opt=sop["migrations_in_node"],
+            migr_cross_8t=s8["migrations_cross_node"],
+            migr_cross_32t=s32["migrations_cross_node"],
+            migr_cross_opt=sop["migrations_cross_node"],
+        ))
     return rows
 
 
@@ -301,35 +220,20 @@ class Fig10Row:
         return self.vanilla_ns / self.optimized_ns
 
 
-def fig10_primitives(
-    thread_counts: list[int] | None = None,
-    core_counts: list[int] | None = None,
-    iterations: int = 1_000,
-    seed: int = 2021,
-) -> tuple[list[Fig10Row], list[Fig10Row]]:
+def fig10_rows(res: dict) -> tuple[list[Fig10Row], list[Fig10Row]]:
     """(a) varying threads on one core; (b) 32 threads on varying cores."""
-    thread_counts = thread_counts or [1, 2, 4, 8, 16, 32]
-    core_counts = core_counts or [1, 2, 4, 8, 16, 32]
-    part_a, part_b = [], []
-    for prim in ("mutex", "cond", "barrier"):
-        for n in thread_counts:
-            van = primitive_stress_run(
-                vanilla_config(cores=1, seed=seed), prim, n, iterations
-            )
-            opt = primitive_stress_run(
-                optimized_config(cores=1, seed=seed, bwd=False),
-                prim, n, iterations,
-            )
-            part_a.append(Fig10Row(prim, n, 1, van.duration_ns, opt.duration_ns))
-        for c in core_counts:
-            van = primitive_stress_run(
-                vanilla_config(cores=c, seed=seed), prim, 32, iterations
-            )
-            opt = primitive_stress_run(
-                optimized_config(cores=c, seed=seed, bwd=False),
-                prim, 32, iterations,
-            )
-            part_b.append(Fig10Row(prim, 32, c, van.duration_ns, opt.duration_ns))
+    part_a = [
+        Fig10Row(prim, int(n[:-1]), 1, r["duration_ns"],
+                 res[f"fig10a/{prim}/{n}/opt"]["duration_ns"])
+        for (prim, n, variant), r in _points(res, "fig10a")
+        if variant == "van"
+    ]
+    part_b = [
+        Fig10Row(prim, 32, int(c[:-1]), r["duration_ns"],
+                 res[f"fig10b/{prim}/{c}/opt"]["duration_ns"])
+        for (prim, c, variant), r in _points(res, "fig10b")
+        if variant == "van"
+    ]
     return part_a, part_b
 
 
@@ -345,37 +249,11 @@ class Fig11Point:
     duration_ns: int | None  # None = crashed (pinning with too few CPUs)
 
 
-def fig11_elasticity(
-    core_counts: list[int] | None = None,
-    apps: list[str] | None = None,
-    work_scale: float = 1.0,
-    seed: int = 2021,
-) -> list[Fig11Point]:
-    core_counts = core_counts or [2, 4, 8, 16, 32]
-    points = []
-    for app in apps or FIG11_APPS:
-        prof = SUITE[app]
-        for c in core_counts:
-            settings: list[tuple[str, int, SimConfig, bool]] = [
-                ("#core-T(vanilla)", c, vanilla_config(cores=c, seed=seed), False),
-                ("8T(vanilla)", 8, vanilla_config(cores=c, seed=seed), False),
-                ("32T(vanilla)", 32, vanilla_config(cores=c, seed=seed), False),
-                ("32T(pinned)", 32, vanilla_config(cores=c, seed=seed), True),
-                ("32T(optimized)", 32,
-                 _suite_opt_config(prof, cores=c, seed=seed), False),
-            ]
-            for label, nthreads, cfg, pinned in settings:
-                try:
-                    run = run_suite_benchmark(
-                        prof, nthreads, cfg,
-                        work_scale=work_scale, pinned=pinned,
-                    )
-                    points.append(Fig11Point(app, c, label, run.duration_ns))
-                except Exception:
-                    # The paper: "programs crashed when CPU count decreased"
-                    # under pinning; record the failure.
-                    points.append(Fig11Point(app, c, label, None))
-    return points
+def fig11_points(res: dict) -> list[Fig11Point]:
+    return [
+        Fig11Point(app, int(c[:-1]), setting, r["duration_ns"])
+        for (app, c, setting), r in _points(res, "fig11")
+    ]
 
 
 # =====================================================================
@@ -389,33 +267,12 @@ class Fig12Row:
     latency: LatencySummary
 
 
-def fig12_memcached(
-    core_counts: list[int] | None = None,
-    duration_ms: float = 250.0,
-    seed: int = 2021,
-) -> list[Fig12Row]:
-    core_counts = core_counts or [4, 8, 16]
-    rows = []
-    for c in core_counts:
-        settings = [
-            ("4T(vanilla)", vanilla_config(cores=c, seed=seed), 4),
-            ("16T(vanilla)", vanilla_config(cores=c, seed=seed), 16),
-            ("16T(optimized)",
-             optimized_config(cores=c, seed=seed, bwd=False), 16),
-        ]
-        for label, cfg, workers in settings:
-            r = memcached_run(
-                cfg, MemcachedConfig(workers=workers), duration_ms=duration_ms
-            )
-            rows.append(
-                Fig12Row(
-                    cores=c,
-                    setting=label,
-                    throughput_ops=r.throughput_ops,
-                    latency=r.latency_summary(),
-                )
-            )
-    return rows
+def fig12_rows(res: dict) -> list[Fig12Row]:
+    return [
+        Fig12Row(int(c[:-1]), setting, r["throughput_ops"],
+                 LatencySummary(**r["latency"]))
+        for (c, setting), r in _points(res, "fig12")
+    ]
 
 
 # =====================================================================
@@ -429,37 +286,11 @@ class Fig13Row:
     duration_ns: int
 
 
-def fig13_spinlocks(
-    algorithms: list[str] | None = None,
-    environments: list[str] | None = None,
-    total_stages: int = 960,
-    seed: int = 2021,
-) -> list[Fig13Row]:
-    algorithms = algorithms or SPINLOCK_ORDER
-    environments = environments or ["container", "kvm"]
-    rows = []
-    for env in environments:
-        mode = ExecMode.VM if env == "kvm" else ExecMode.CONTAINER
-        settings: list[tuple[str, SimConfig, int]] = [
-            ("8T(vanilla)", vanilla_config(cores=8, mode=mode, seed=seed), 8),
-            ("32T(vanilla)", vanilla_config(cores=8, mode=mode, seed=seed), 32),
-        ]
-        if env == "kvm":
-            settings.append(("32T(PLE)", ple_config(cores=8, seed=seed), 32))
-        settings.append(
-            (
-                "32T(optimized)",
-                optimized_config(cores=8, mode=mode, seed=seed, vb=False),
-                32,
-            )
-        )
-        for alg in algorithms:
-            for label, cfg, nthreads in settings:
-                r = spin_pipeline_run(
-                    cfg, alg, nthreads, total_stages=total_stages
-                )
-                rows.append(Fig13Row(alg, env, label, r.duration_ns))
-    return rows
+def fig13_rows(res: dict) -> list[Fig13Row]:
+    return [
+        Fig13Row(alg, env, setting, r["duration_ns"])
+        for (env, alg, setting), r in _points(res, "fig13")
+    ]
 
 
 # =====================================================================
@@ -474,41 +305,11 @@ class Fig14Row:
     duration_ns: int
 
 
-def fig14_custom_spin(
-    apps: list[str] | None = None,
-    thread_counts: list[int] | None = None,
-    environments: list[str] | None = None,
-    work_scale: float = 1.0,
-    seed: int = 2021,
-) -> list[Fig14Row]:
-    apps = apps or ["lu", "volrend"]
-    thread_counts = thread_counts or [8, 16, 32]
-    environments = environments or ["container", "vm"]
-    rows = []
-    for app in apps:
-        prof = SUITE[app]
-        for env in environments:
-            mode = ExecMode.VM if env == "vm" else ExecMode.CONTAINER
-            for n in thread_counts:
-                settings: list[tuple[str, SimConfig]] = [
-                    ("vanilla", vanilla_config(cores=8, mode=mode, seed=seed)),
-                ]
-                if env == "vm":
-                    settings.append(("PLE", ple_config(cores=8, seed=seed)))
-                settings.append(
-                    (
-                        "optimized",
-                        optimized_config(
-                            cores=8, mode=mode, seed=seed, vb=False
-                        ),
-                    )
-                )
-                for label, cfg in settings:
-                    r = run_suite_benchmark(
-                        prof, n, cfg, work_scale=work_scale
-                    )
-                    rows.append(Fig14Row(app, env, n, label, r.duration_ns))
-    return rows
+def fig14_rows(res: dict) -> list[Fig14Row]:
+    return [
+        Fig14Row(app, env, int(n[:-1]), setting, r["duration_ns"])
+        for (app, env, n, setting), r in _points(res, "fig14")
+    ]
 
 
 # =====================================================================
@@ -521,64 +322,26 @@ class Fig15Row:
     duration_ns: int
 
 
-def fig15_lock_comparison(
-    apps: list[str] | None = None,
-    work_scale: float = 1.0,
-    seed: int = 2021,
-) -> list[Fig15Row]:
-    """32 threads on 8 cores; pthread primitives replaced by each lock
-    library (on vanilla Linux), vs unmodified pthreads on the VB+BWD
-    kernel ("optimized")."""
-    rows = []
-    for app in apps or FIG15_APPS:
-        base_prof = SUITE[app]
-        # The lock-library study interposes on the apps' pthread mutexes
-        # while the rest of their synchronization structure stays: model
-        # as barrier phases with per-phase lock sections (MIXED kind).
-        prof = dataclasses.replace(
-            base_prof,
-            kind=SyncKind.MIXED,
-            cs_us=3.0,
-        )
-        factories: list[tuple[str, Callable | None, SimConfig]] = [
-            ("pthread", None, vanilla_config(cores=8, seed=seed)),
-            ("mutexee", lambda n: Mutexee(n), vanilla_config(cores=8, seed=seed)),
-            ("mcstp", lambda n: McsTp(n), vanilla_config(cores=8, seed=seed)),
-            ("shfllock", lambda n: ShflLock(n), vanilla_config(cores=8, seed=seed)),
-            ("optimized", None, optimized_config(cores=8, seed=seed)),
-        ]
-        for label, factory, cfg in factories:
-            r = run_suite_benchmark(
-                prof, 32, cfg, work_scale=work_scale, mutex_factory=factory
-            )
-            rows.append(Fig15Row(app, label, r.duration_ns))
-    return rows
+def fig15_rows(res: dict) -> list[Fig15Row]:
+    return [
+        Fig15Row(app, lock, r["duration_ns"])
+        for (app, lock), r in _points(res, "fig15")
+    ]
 
 
 # =====================================================================
 # Tables 2 and 3 — BWD accuracy
 # =====================================================================
-def table2_true_positive(
-    algorithms: list[str] | None = None,
-    duration_ms: float = 400.0,
-    seed: int = 2021,
-) -> list[TpResult]:
-    results = []
-    for i, alg in enumerate(algorithms or SPINLOCK_ORDER):
-        # Decorrelate the detection-noise draws between algorithms.
-        cfg = optimized_config(cores=1, seed=seed + 97 * i, vb=False, bwd=True)
-        results.append(true_positive_probe(cfg, alg, duration_ms=duration_ms))
-    return results
-
-
-def table3_false_positive(
-    apps: list[str] | None = None,
-    work_scale: float = 1.0,
-    seed: int = 2021,
-) -> list[FpResult]:
+def table2_rows(res: dict) -> list[TpResult]:
     return [
-        false_positive_probe(
-            SUITE[name], seeds=(seed, seed + 5, seed + 11), work_scale=work_scale
-        )
-        for name in (apps or TABLE3_APPS)
+        TpResult(alg, r["tries"], r["true_positives"])
+        for (alg,), r in _points(res, "table2")
+    ]
+
+
+def table3_rows(res: dict) -> list[FpResult]:
+    return [
+        FpResult(name, r["tries"], r["false_positives"], r["overhead_pct"],
+                 r["timer_overhead_pct"])
+        for (name,), r in _points(res, "table3")
     ]

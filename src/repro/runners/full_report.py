@@ -3,13 +3,17 @@
 Decomposes every figure/table of the paper into independent
 :class:`~repro.runners.parallel.ExperimentSpec`s, fans them out through a
 :class:`~repro.runners.parallel.ParallelRunner`, and renders the same
-tables the serial ``benchmarks/run_all.py`` printed — byte-identical for a
-fixed seed regardless of ``--jobs`` or cache state, because results are
-merged in spec order and every simulation is deterministic.
+tables — byte-identical for a fixed seed regardless of ``--jobs`` or
+cache state, because results are merged in spec order and every
+simulation is deterministic.
 
-Both ``benchmarks/run_all.py`` and ``python -m repro all`` are thin
-wrappers over :func:`run_full_report`; :func:`add_report_flags` keeps
-their flag sets identical.
+The section spec builders are the one place each figure's experimental
+design is written down.  ``benchmarks/run_all.py``, ``python -m repro
+all`` and the per-figure commands (``repro fig01`` ... ``repro table3``,
+single-section reports) are thin wrappers over :func:`run_full_report`;
+:func:`add_report_flags` keeps their flag sets identical.  The claim
+tests and the benchmark scripts run a section's specs through
+:func:`run_section` and read rows with the builders of :mod:`.figures`.
 """
 
 from __future__ import annotations
@@ -19,28 +23,16 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, TextIO
 
 from .. import __version__
 from ..exitcodes import EXIT_FIDELITY_VIOLATION, EXIT_PARTIAL
 from ..hw.memmodel import AccessPattern
-from ..metrics.stats import LatencySummary
 from ..workloads.profiles import SUITE, SyncKind, fig9_profiles
 from ..workloads.serving import SATURATION_RATE
 from . import figures
-from .figures import (
-    FIG11_APPS,
-    FIG15_APPS,
-    SPINLOCK_ORDER,
-    TABLE3_APPS,
-    Fig1Row,
-    Fig2Row,
-    Fig3Row,
-    Fig9Row,
-    Fig10Row,
-    Fig11Point,
-)
+from .figures import FIG11_APPS, FIG15_APPS, SPINLOCK_ORDER, TABLE3_APPS
 from .parallel import (
     DEFAULT_CACHE_DIR,
     DEFAULT_TIMEOUT_S,
@@ -109,16 +101,7 @@ def _specs_fig01(p: ReportParams) -> list[ExperimentSpec]:
 
 
 def _render_fig01(p: ReportParams, res: dict, out: TextIO) -> None:
-    rows = [
-        Fig1Row(
-            name=name,
-            group=SUITE[name].group.value,
-            t8_ns=res[f"fig01/{name}/8T"]["duration_ns"],
-            t32_ns=res[f"fig01/{name}/32T"]["duration_ns"],
-            paper_ratio=SUITE[name].fig1_expected,
-        )
-        for name in SUITE
-    ]
+    rows = figures.fig01_rows(res)
     print(format_table(
         ["benchmark", "group", "32T/8T (sim)", "32T/8T (paper)"],
         [[r.name, r.group, r.ratio, r.paper_ratio] for r in rows],
@@ -148,23 +131,12 @@ def _specs_fig02(p: ReportParams) -> list[ExperimentSpec]:
 
 
 def _render_fig02(p: ReportParams, res: dict, out: TextIO) -> None:
-    pure1 = res["fig02/1T/pure"]["duration_ns"]
-    atomic1 = res["fig02/1T/atomic"]["duration_ns"]
-    rows = []
-    for n in range(1, 9):
-        pure = res[f"fig02/{n}T/pure"]["duration_ns"]
-        atomic = res[f"fig02/{n}T/atomic"]["duration_ns"]
-        rows.append(Fig2Row(
-            nthreads=n, pure_ns=pure, atomic_ns=atomic,
-            pure_normalized=pure / pure1,
-            atomic_normalized=atomic / atomic1,
-        ))
+    rows, per_switch = figures.fig02_rows(res)
     print(format_table(
         ["threads", "pure (norm)", "atomic (norm)"],
         [[r.nthreads, r.pure_normalized, r.atomic_normalized] for r in rows],
         float_fmt="{:.4f}",
     ), file=out)
-    per_switch = res["fig02/per_switch"]["per_switch_ns"]
     print(f"per-switch cost: {per_switch:.0f} ns (paper: ~1500 ns)", file=out)
 
 
@@ -188,15 +160,9 @@ def _specs_fig03(p: ReportParams) -> list[ExperimentSpec]:
 
 
 def _render_fig03(p: ReportParams, res: dict, out: TextIO) -> None:
-    rows = []
-    for name in _fig03_names():
-        stats = res[f"fig03/{name}"]["stats"]
-        blocks = max(1, stats["blocks"])
-        rows.append(Fig3Row(
-            name=name, interval_us=stats["total_cpu_ns"] / blocks / 1e3,
-        ))
     print(format_table(
-        ["bucket (us)", "# programs"], figures.fig03_histogram(rows),
+        ["bucket (us)", "# programs"],
+        figures.fig03_histogram(figures.fig03_rows(res)),
     ), file=out)
 
 
@@ -214,11 +180,7 @@ def _specs_fig04(p: ReportParams) -> list[ExperimentSpec]:
 
 
 def _render_fig04(p: ReportParams, res: dict, out: TextIO) -> None:
-    f4 = {
-        pattern.value: [tuple(pair) for pair in
-                        res[f"fig04/{pattern.value}"]["series"]]
-        for pattern in AccessPattern
-    }
+    f4 = figures.fig04_series(res)
     sizes = [s for s, _ in f4["seq-r"]]
     print(format_table(
         ["size"] + list(f4),
@@ -253,27 +215,8 @@ def _specs_fig09(p: ReportParams) -> list[ExperimentSpec]:
 
 
 def _render_fig09(p: ReportParams, res: dict, out: TextIO) -> None:
-    rows = []
-    for prof in fig9_profiles():
-        r = {label: res[f"fig09/{prof.name}/{label}"]
-             for label in _FIG09_SETTINGS}
-        s8, s32, sop = (r[k]["stats"] for k in _FIG09_SETTINGS)
-        rows.append(Fig9Row(
-            name=prof.name,
-            smt=False,
-            t8_vanilla_ns=r["8T"]["duration_ns"],
-            t32_vanilla_ns=r["32T"]["duration_ns"],
-            t32_optimized_ns=r["opt"]["duration_ns"],
-            util_8t=s8["cpu_utilization_pct"],
-            util_32t=s32["cpu_utilization_pct"],
-            util_opt=sop["cpu_utilization_pct"],
-            migr_in_8t=s8["migrations_in_node"],
-            migr_in_32t=s32["migrations_in_node"],
-            migr_in_opt=sop["migrations_in_node"],
-            migr_cross_8t=s8["migrations_cross_node"],
-            migr_cross_32t=s32["migrations_cross_node"],
-            migr_cross_opt=sop["migrations_cross_node"],
-        ))
+    rows = figures.fig09_rows(res)
+
     def wake_p99_us(stats: dict) -> str:
         hist = (stats.get("extra") or {}).get("hist:wakeup_latency_ns")
         return f"{hist['p99'] / 1e3:.0f}" if hist else "-"
@@ -336,18 +279,7 @@ def _specs_fig10(p: ReportParams) -> list[ExperimentSpec]:
 
 
 def _render_fig10(p: ReportParams, res: dict, out: TextIO) -> None:
-    part_a = [
-        Fig10Row(prim, n, 1,
-                 res[f"fig10a/{prim}/{n}T/van"]["duration_ns"],
-                 res[f"fig10a/{prim}/{n}T/opt"]["duration_ns"])
-        for prim in _FIG10_PRIMS for n in _FIG10_COUNTS
-    ]
-    part_b = [
-        Fig10Row(prim, 32, c,
-                 res[f"fig10b/{prim}/{c}c/van"]["duration_ns"],
-                 res[f"fig10b/{prim}/{c}c/opt"]["duration_ns"])
-        for prim in _FIG10_PRIMS for c in _FIG10_COUNTS
-    ]
+    part_a, part_b = figures.fig10_rows(res)
     print(format_table(
         ["primitive", "threads", "speedup (1 core)"],
         [[r.primitive, r.nthreads, r.speedup] for r in part_a],
@@ -395,15 +327,8 @@ def _specs_fig11(p: ReportParams) -> list[ExperimentSpec]:
 
 
 def _render_fig11(p: ReportParams, res: dict, out: TextIO) -> None:
-    points = [
-        Fig11Point(app, c, s,
-                   res[f"fig11/{app}/{c}c/{s}"]["duration_ns"])
-        for app in FIG11_APPS
-        for c in _FIG11_CORES
-        for s in _FIG11_SETTINGS
-    ]
     by: dict[str, dict] = {}
-    for pt in points:
+    for pt in figures.fig11_points(res):
         by.setdefault(pt.app, {})[(pt.cores, pt.setting)] = pt.duration_ns
     for app, d in by.items():
         print(format_table(
@@ -446,17 +371,12 @@ def _specs_fig12(p: ReportParams) -> list[ExperimentSpec]:
 
 
 def _render_fig12(p: ReportParams, res: dict, out: TextIO) -> None:
-    rows = []
-    for c in _FIG12_CORES:
-        for label, _, _ in _fig12_settings(p, c):
-            r = res[f"fig12/{c}c/{label}"]
-            lat = LatencySummary(**r["latency"])
-            rows.append((c, label, r["throughput_ops"], lat))
     print(format_table(
         ["cores", "setting", "kops/s", "avg us", "p95 us", "p99 us"],
         [
-            [c, label, ops / 1e3, lat.mean, lat.p95, lat.p99]
-            for c, label, ops, lat in rows
+            [r.cores, r.setting, r.throughput_ops / 1e3, r.latency.mean,
+             r.latency.p95, r.latency.p99]
+            for r in figures.fig12_rows(res)
         ],
         float_fmt="{:.1f}",
     ), file=out)
@@ -495,18 +415,14 @@ def _specs_fig13(p: ReportParams) -> list[ExperimentSpec]:
 
 
 def _render_fig13(p: ReportParams, res: dict, out: TextIO) -> None:
+    ms = {(r.environment, r.algorithm, r.setting): r.duration_ns / 1e6
+          for r in figures.fig13_rows(res)}
     for env in ("container", "kvm"):
-        settings = ["8T(vanilla)", "32T(vanilla)"]
-        if env == "kvm":
-            settings.append("32T(PLE)")
-        settings.append("32T(optimized)")
+        settings = [label for label, _, _ in _fig13_settings(p, env)]
         print(format_table(
             ["lock"] + settings,
             [
-                [alg] + [
-                    res[f"fig13/{env}/{alg}/{s}"]["duration_ns"] / 1e6
-                    for s in settings
-                ]
+                [alg] + [ms[env, alg, s] for s in settings]
                 for alg in SPINLOCK_ORDER
             ],
             title=env,
@@ -546,15 +462,16 @@ def _specs_fig14(p: ReportParams) -> list[ExperimentSpec]:
 
 
 def _render_fig14(p: ReportParams, res: dict, out: TextIO) -> None:
+    ns = {(r.app, r.environment, r.nthreads, r.setting): r.duration_ns
+          for r in figures.fig14_rows(res)}
     for app in _FIG14_APPS:
         for env in ("container", "vm"):
-            have = {label for label, _ in _fig14_settings(p, env)}
             print(format_table(
                 ["threads", "vanilla", "PLE", "optimized"],
                 [
                     [n] + [
-                        "n/a" if s not in have else
-                        f"{res[f'fig14/{app}/{env}/{n}T/{s}']['duration_ns'] / 1e6:.1f}"
+                        "n/a" if (app, env, n, s) not in ns else
+                        f"{ns[app, env, n, s] / 1e6:.1f}"
                         for s in ("vanilla", "PLE", "optimized")
                     ]
                     for n in _FIG14_THREADS
@@ -592,12 +509,12 @@ def _specs_fig15(p: ReportParams) -> list[ExperimentSpec]:
 
 
 def _render_fig15(p: ReportParams, res: dict, out: TextIO) -> None:
+    ns = {(r.app, r.lock): r.duration_ns for r in figures.fig15_rows(res)}
     print(format_table(
         ["app", "pthread", "mutexee", "mcstp", "shfllock", "optimized"],
         [
             [app] + [
-                res[f"fig15/{app}/{lock}"]["duration_ns"]
-                / res[f"fig15/{app}/optimized"]["duration_ns"]
+                ns[app, lock] / ns[app, "optimized"]
                 for lock in _FIG15_LOCKS
             ]
             for app in FIG15_APPS
@@ -628,13 +545,10 @@ def _specs_table2(p: ReportParams) -> list[ExperimentSpec]:
 
 
 def _render_table2(p: ReportParams, res: dict, out: TextIO) -> None:
-    rows = []
-    for alg in SPINLOCK_ORDER:
-        r = res[f"table2/{alg}"]
-        sens = r["true_positives"] / r["tries"] if r["tries"] else 0.0
-        rows.append([alg, r["tries"], r["true_positives"], sens * 100])
     print(format_table(
-        ["spinlock", "# tries", "# TPs", "sensitivity %"], rows,
+        ["spinlock", "# tries", "# TPs", "sensitivity %"],
+        [[r.algorithm, r.tries, r.true_positives, r.sensitivity * 100]
+         for r in figures.table2_rows(res)],
     ), file=out)
 
 
@@ -653,15 +567,12 @@ def _specs_table3(p: ReportParams) -> list[ExperimentSpec]:
 
 
 def _render_table3(p: ReportParams, res: dict, out: TextIO) -> None:
-    rows = []
-    for name in TABLE3_APPS:
-        r = res[f"table3/{name}"]
-        spec = (1.0 - r["false_positives"] / r["tries"]) if r["tries"] else 1.0
-        rows.append([name, r["tries"], r["false_positives"], spec * 100,
-                     r["overhead_pct"], r["timer_overhead_pct"]])
     print(format_table(
         ["app", "# tries", "# FPs", "specificity %", "FP overhead %",
-         "timer overhead %"], rows,
+         "timer overhead %"],
+        [[r.name, r.tries, r.false_positives, r.specificity * 100,
+          r.overhead_pct, r.timer_overhead_pct]
+         for r in figures.table3_rows(res)],
     ), file=out)
 
 
@@ -1016,6 +927,33 @@ def build_all_specs(p: ReportParams) -> list[tuple[Section, list[ExperimentSpec]
     return [(section, section.build(p)) for section in SECTIONS]
 
 
+def run_section(
+    key: str,
+    p: ReportParams,
+    keep: Callable[[str], bool] | None = None,
+    rewrite: Callable[[dict], dict] | None = None,
+) -> dict:
+    """Run one section's specs in-process and uncached; returns
+    ``{spec_id: result}`` for the row builders of :mod:`.figures`.
+
+    ``keep`` selects spec ids.  ``rewrite`` maps each kept spec's params
+    to the params actually run — an explicit, caller-side departure from
+    the report's design (a shorter horizon, an SMT descriptor)."""
+    section = next(s for s in SECTIONS if s.key == key)
+    specs = [
+        replace(s, params=rewrite(s.params)) if rewrite else s
+        for s in section.build(p)
+        if keep is None or keep(s.id)
+    ]
+    values = ParallelRunner(jobs=1, use_cache=False).run(specs)
+    return {s.id: v for s, v in zip(specs, values)}
+
+
+# Fidelity-spec sections that read another report section's results:
+# Table 1 and the PSI telemetry checks are evaluated on fig09's runs.
+_FIDELITY_SOURCE = {"table1": "fig09", "telemetry": "fig09"}
+
+
 # =====================================================================
 # Driver
 # =====================================================================
@@ -1101,7 +1039,7 @@ def run_full_report(
     (:mod:`repro.validate`) against the produced results and turns any
     VIOLATION into exit 4.  ``sections`` restricts the run to the named
     section keys (default: all of :data:`SECTIONS`); validation then
-    evaluates only the fidelity specs of those sections."""
+    evaluates only the fidelity specs that read those sections' results."""
     out = out if out is not None else sys.stdout
     progress_out = progress_out if progress_out is not None else sys.stderr
     t0 = time.time()
@@ -1227,7 +1165,8 @@ def run_full_report(
         from ..validate.specs import SPECS
 
         subset = None if sections is None else [
-            s for s in SPECS if s.section in sections
+            s for s in SPECS
+            if _FIDELITY_SOURCE.get(s.section, s.section) in sections
         ]
         report = evaluate(Results(artifact), specs=subset)
         counts = report.counts()

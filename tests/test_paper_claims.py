@@ -2,18 +2,36 @@
 
 Each test is one claim from the paper, checked as a *shape* (ordering /
 rough factor) on scaled-down runs.  The full-fidelity numbers live in the
-benchmark harness and EXPERIMENTS.md.
+benchmark harness and EXPERIMENTS.md.  Figure-level claims run a subset
+of the report section's specs (``run_section``); a departure from the
+report's design is an explicit ``rewrite`` of the spec params.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.config import optimized_config, ple_config, vanilla_config
+from repro.config import optimized_config, vanilla_config
 from repro.runners import figures
-from repro.workloads import Group, SUITE, profile, run_suite_benchmark
+from repro.runners.full_report import ReportParams, run_section
+from repro.workloads import SUITE, profile, run_suite_benchmark
 
 SCALE = 0.35
+
+
+def params(scale: float) -> ReportParams:
+    return ReportParams(scale=scale, quick=False)
+
+
+def field(i: int, *allowed: str):
+    """Keep spec ids whose ``i``-th ``/``-separated field is allowed."""
+    return lambda sid: sid.split("/")[i] in allowed
+
+
+def fig09(*names: str) -> list[figures.Fig9Row]:
+    return figures.fig09_rows(
+        run_section("fig09", params(SCALE), keep=field(1, *names))
+    )
 
 
 def ratio(prof, seeds=(2021, 7)):
@@ -67,26 +85,20 @@ class TestSection2Findings:
 class TestVirtualBlocking:
     def test_vb_recovers_blocking_apps(self):
         """Claim (Figure 9): up to 77% gain; optimized close to baseline."""
-        rows = figures.fig09_vb_applications(
-            work_scale=SCALE, names=["streamcluster", "ocean", "cg", "is"]
-        )
+        rows = fig09("streamcluster", "ocean", "cg", "is")
         for r in rows:
             assert r.optimized_ratio < r.vanilla_ratio
             assert r.optimized_ratio < 1.25  # close to the 8T baseline
 
     def test_vb_sometimes_beats_baseline(self):
         """Claim: VB outperformed the baseline for freqmine/ocean/cg/mg."""
-        rows = figures.fig09_vb_applications(
-            work_scale=SCALE, names=["ocean", "cg", "mg", "freqmine"]
-        )
+        rows = fig09("ocean", "cg", "mg", "freqmine")
         assert sum(1 for r in rows if r.optimized_ratio < 1.0) >= 2
 
     def test_table1_utilization_and_migrations(self):
         """Claim (Table 1): 32T vanilla loses utilization and migrates
         orders of magnitude more; Opt restores both."""
-        rows = figures.fig09_vb_applications(
-            work_scale=SCALE, names=["streamcluster", "cg"]
-        )
+        rows = fig09("streamcluster", "cg")
         for r in rows:
             assert r.util_32t < r.util_8t
             assert r.util_opt >= r.util_8t - 30
@@ -101,7 +113,10 @@ class TestVirtualBlocking:
         vanilla; VB reduces tails dramatically and keeps throughput."""
         # Tails need a long enough window for slice-scale stall events to
         # accumulate (they are the p99, not the median).
-        rows = figures.fig12_memcached(core_counts=[4], duration_ms=300)
+        rows = figures.fig12_rows(run_section(
+            "fig12", params(1.0), keep=field(1, "4c"),
+            rewrite=lambda p: {**p, "duration_ms": 300},
+        ))
         d = {r.setting: r for r in rows}
         van4 = d["4T(vanilla)"]
         van16 = d["16T(vanilla)"]
@@ -115,11 +130,12 @@ class TestBusyWaitingDetection:
     def test_bwd_recovers_all_ten_spinlocks(self):
         """Claim (Figure 13): BWD-32T comparable to vanilla-8T for every
         algorithm; vanilla-32T collapses."""
-        rows = figures.fig13_spinlocks(
-            algorithms=["mcs", "ticket", "ttas", "pthread", "cna"],
-            environments=["container"],
-            total_stages=480,
-        )
+        rows = figures.fig13_rows(run_section(
+            "fig13", params(1.0),
+            keep=lambda sid: field(1, "container")(sid) and field(
+                2, "mcs", "ticket", "ttas", "pthread", "cna")(sid),
+            rewrite=lambda p: {**p, "total_stages": 480},
+        ))
         by = {}
         for r in rows:
             by.setdefault(r.algorithm, {})[r.setting] = r.duration_ns
@@ -130,33 +146,36 @@ class TestBusyWaitingDetection:
 
     def test_ple_ineffective(self):
         """Claim: PLE performs like vanilla for thread oversubscription."""
-        rows = figures.fig13_spinlocks(
-            algorithms=["pthread"], environments=["kvm"], total_stages=240
-        )
+        rows = figures.fig13_rows(run_section(
+            "fig13", params(1.0),
+            keep=lambda sid: sid.startswith("fig13/kvm/pthread/"),
+            rewrite=lambda p: {**p, "total_stages": 240},
+        ))
         d = {r.setting: r.duration_ns for r in rows}
         assert d["32T(PLE)"] == pytest.approx(d["32T(vanilla)"], rel=0.15)
         assert d["32T(optimized)"] < d["32T(PLE)"] / 1.5
 
     def test_bwd_works_for_pauseless_custom_spins(self):
         """Claim (Figure 14): BWD handles ad-hoc spins PLE cannot see."""
-        rows = figures.fig14_custom_spin(
-            apps=["lu"], thread_counts=[32], environments=["vm"],
-            work_scale=0.25,
-        )
+        rows = figures.fig14_rows(run_section(
+            "fig14", params(0.25),
+            keep=lambda sid: sid.startswith("fig14/lu/vm/32T/"),
+        ))
         d = {r.setting: r.duration_ns for r in rows}
         assert d["PLE"] == pytest.approx(d["vanilla"], rel=0.05)
         assert d["optimized"] < d["vanilla"] / 4
 
     def test_table2_sensitivity_near_100(self):
-        results = figures.table2_true_positive(
-            algorithms=["mcs", "ttas", "clh"], duration_ms=250
-        )
+        results = figures.table2_rows(run_section(
+            "table2", params(1.0), keep=field(1, "mcs", "ttas", "clh"),
+            rewrite=lambda p: {**p, "duration_ms": 250},
+        ))
         for r in results:
             assert r.sensitivity > 0.95, r.algorithm
 
     def test_table3_specificity_and_overhead(self):
-        results = figures.table3_false_positive(
-            apps=["is", "ft"], work_scale=0.3
+        results = figures.table3_rows(
+            run_section("table3", params(0.3), keep=field(1, "is", "ft"))
         )
         for r in results:
             assert r.specificity > 0.99
@@ -169,9 +188,9 @@ class TestLockLibraryComparison:
         """Claim (Figure 15 / Section 4.4): spin-then-park and SHFLLOCK
         still collapse under oversubscription; VB+BWD is up to ~5x
         better."""
-        rows = figures.fig15_lock_comparison(
-            apps=["streamcluster", "ocean"], work_scale=0.3
-        )
+        rows = figures.fig15_rows(run_section(
+            "fig15", params(0.3), keep=field(1, "streamcluster", "ocean"),
+        ))
         by_app = {}
         for r in rows:
             by_app.setdefault(r.app, {})[r.lock] = r.duration_ns
