@@ -5,9 +5,11 @@ The simulator ships two interchangeable hot cores:
 * ``pure`` (default) — the reference implementation:
   :class:`repro.sim.engine.Engine` (bucketed timer wheel) and
   :class:`repro.kernel.runqueue.CfsRunqueue` (red-black tree).
-* ``fast`` — this package: a slab/heap event engine (a C extension
-  compiled on first use, with a pure-Python slab fallback), a C kernel
-  cycle, and a heap-with-tombstones runqueue.
+* ``fast`` — this package: a C extension compiled on first use (a
+  slab/heap event engine and a kernel cycle) driving a
+  heap-with-tombstones runqueue.  When the extension cannot be built
+  or loaded, ``fast`` runs the ``pure`` classes; ``backend_info()``
+  reports which one ran.
 
 The backend is a process-global execution detail, *not* part of
 :class:`~repro.config.SimConfig` or any cache key: both backends
@@ -59,9 +61,6 @@ def engine_class():
         core = load_fastcore()
         if core is not None:
             return core.FastEngine
-        from .engine import SlabEngine
-
-        return SlabEngine
     from ..sim.engine import Engine
 
     return Engine
@@ -74,7 +73,7 @@ def make_engine():
 
 def runqueue_class():
     """The runqueue class the current backend would instantiate."""
-    if _backend == "fast":
+    if _backend == "fast" and fastcore_available():
         from .runqueue import FastCfsRunqueue
 
         return FastCfsRunqueue

@@ -1599,8 +1599,8 @@ cycle_dispatch(CycleObject *c, PyObject *cpu, PyObject *task)
             slot_set(cpu, c->o_run_factor, g_float_one);
         }
     }
-    /* slice = clamp(latency // max(nr, 1)) — inline of _calc_slice with
-     * the dispatcher's `nr if nr > 1 else 1` denominator (same result). */
+    /* slice = clamp(latency // max(nr, 1)) — replay of the CfsPolicy
+     * slice_ns hook (SchedPolicy.slice_ns) as _dispatch calls it. */
     if (rq_is_fast(c, rq)) {
         if (rq_nr_schedulable_c(c, rq, &nr) < 0)
             goto fail;
@@ -1904,9 +1904,8 @@ cycle_cpu_event(CycleObject *c, PyObject *args)
 
     if (!PyArg_ParseTuple(args, "LL", &cpu_id, &gen))
         return NULL;
-    /* Non-CFS scheduling policy -> the Python path owns the event: its
-     * pick/preempt/slice decisions live in SchedPolicy hooks this
-     * inlined CFS cycle does not replay. */
+    /* Non-CFS scheduling policy -> the Python path owns the event: this
+     * cycle replays only the CfsPolicy pick/preempt/slice hooks. */
     if (!c->policy_is_cfs) {
         if (bail_call(c, s_m_cpu_event, PyTuple_GET_ITEM(args, 0),
                       PyTuple_GET_ITEM(args, 1)) < 0)
@@ -2254,16 +2253,16 @@ cycle_new(PyTypeObject *type, PyObject *args, PyObject *Py_UNUSED(kwargs))
             c->rq_fast = 1;
         }
     }
-    /* Optional policy gate (absent in older support dicts -> CFS). */
+    /* Policy gate: a missing key fails construction (KeyError). */
     {
         PyObject *po = PyDict_GetItemString(support, "POLICY_IS_CFS");
-        c->policy_is_cfs = 1;
-        if (po != NULL) {
-            int t = PyObject_IsTrue(po);
-            if (t < 0)
-                goto fail;
-            c->policy_is_cfs = t;
+        if (po == NULL) {
+            PyErr_SetString(PyExc_KeyError,
+                            "KernelCycle support missing POLICY_IS_CFS");
+            goto fail;
         }
+        if ((c->policy_is_cfs = PyObject_IsTrue(po)) < 0)
+            goto fail;
     }
     c->self_cb = PyObject_GetAttrString((PyObject *)c, "cpu_event");
     if (c->self_cb == NULL)

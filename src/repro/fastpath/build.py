@@ -7,8 +7,8 @@ filename, so edits to the C file invalidate the artifact automatically
 and concurrent processes can only ever race toward the same bytes.
 
 Everything degrades gracefully: no compiler, a failed compile, or a
-failed import all yield ``None`` and the caller falls back to the
-pure-Python slab engine (same semantics, less speed).
+failed import all yield ``None`` and the ``fast`` backend runs the
+``pure`` engine and runqueue instead (same results, less speed).
 """
 
 from __future__ import annotations
@@ -80,16 +80,12 @@ def _compile(source_path: str, out_path: str) -> bool:
 def load_fastcore():
     """Return the compiled ``_fastcore`` module, or None if unavailable.
 
-    The result (including failure) is cached for the process; set
-    ``REPRO_NO_FASTCORE=1`` to skip compilation entirely (forces the
-    pure-Python slab fallback for the fast backend).
+    The result (including failure) is cached for the process.
     """
     global _cached_module, _load_attempted
     if _load_attempted:
         return _cached_module
     _load_attempted = True
-    if os.environ.get("REPRO_NO_FASTCORE", "") not in ("", "0"):
-        return None
     try:
         with open(_SRC, "rb") as f:
             source = f.read()

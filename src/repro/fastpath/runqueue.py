@@ -118,8 +118,8 @@ class FastCfsRunqueue:
         self._seq = 0
         self.nr_blocked = 0
         self.nr_enqueues = 0
-        # Non-CFS policies install their queue_key hook here (same
-        # contract as the pure runqueue); None = inlined CFS keying.
+        # A policy that overrides queue_key installs it here (same
+        # contract as the pure runqueue); None = vruntime keying.
         self.key_fn = None
         # Entries are (k0, seq, key, task): comparison never reaches
         # `key`/`task` because `seq` is unique.  An entry is live iff
@@ -248,7 +248,7 @@ class FastCfsRunqueue:
                     vr = k0
         else:
             # Policy keys are not vruntimes: scan the live entries for
-            # the true vruntime floor (non-CFS policies only).
+            # the true vruntime floor (policies with their own key only).
             for e in self._heap:
                 t = e[3]
                 if (t.rq_key is e[2] and t.thread_state == 0

@@ -48,7 +48,8 @@ from .epoll import EpollInstance
 from .futex import FutexTable
 from .hrtimer import HrTimer
 from .locks import SimLockTimeline
-from .policy import current_policy, get_policy
+from .policies.cfs import CfsPolicy
+from .policy import SchedPolicy, current_policy, get_policy
 from .runqueue import VB_SENTINEL, CfsRunqueue
 from .task import ExecProfile, RunMode, Task, TaskState
 
@@ -121,14 +122,17 @@ class Kernel:
     ):
         self.config = config
         # Scheduling policy (docs/scheduling.md): SimConfig.policy wins,
-        # else the process-global default (--policy / REPRO_POLICY).  The
-        # default CFS keeps the kernel's historical inlined decision
-        # paths — bit-identical and KernelCycle-eligible; other policies
-        # route those decisions through the SchedPolicy hooks.
+        # else the process-global default (--policy / REPRO_POLICY).  Every
+        # scheduling decision goes through its hooks, bound once here.
         pol = config.policy if config.policy is not None else current_policy()
-        self.policy = get_policy(pol)
-        self.policy.configure(config.scheduler)
-        self._policy_cfs = self.policy.inline_fast_path
+        policy = self.policy = get_policy(pol)
+        policy.configure(config.scheduler)
+        self._pol_slice_ns = policy.slice_ns
+        self._pol_pick_next = policy.pick_next
+        self._pol_place_wakeup = policy.place_wakeup
+        self._pol_check_preempt = policy.check_preempt
+        self._pol_tick_preempt = policy.tick_preempt
+        self._pol_steal_order = policy.steal_order
         self.engine = engine or make_engine()
         # An enclosing observe() session supplies the recorder (and an
         # interval sampler) unless the caller passed an explicit trace.
@@ -174,12 +178,12 @@ class Kernel:
             if sib is not None and sib < len(self.cpus):
                 cpu.sib = self.cpus[sib]
         self._smt_factor = hw.smt_throughput_factor
-        if not self._policy_cfs:
-            # Non-CFS policies key the runqueues themselves (the VB
-            # sentinel still wins inside _key_for, for every policy).
-            key_fn = self.policy.queue_key
+        if type(policy).queue_key is not SchedPolicy.queue_key:
+            # Policies with their own sort key install it on the runqueues
+            # (the VB sentinel still wins inside _key_for); vruntime keying
+            # stays built in.
             for cpu in self.cpus:
-                cpu.rq.key_fn = key_fn
+                cpu.rq.key_fn = policy.queue_key
 
         # Schedstats + PSI-style pressure accounting (docs/telemetry.md).
         # ``psi_waiting``/``psi_running`` track runnable-not-running and
@@ -308,11 +312,10 @@ class Kernel:
             if core is not None and hasattr(core, "KernelCycle"):
                 try:
                     support = _cycle_support()
-                    # Non-CFS policies make scheduling decisions in
-                    # Python; the C cycle bails out per event (counted
-                    # in counters()["bailouts"]) instead of replaying
-                    # its inlined CFS logic.
-                    support["POLICY_IS_CFS"] = 1 if self._policy_cfs else 0
+                    # The C cycle replays the CfsPolicy hooks; under any
+                    # other policy it bails out per event (counted in
+                    # counters()["bailouts"]) to the Python hooks.
+                    support["POLICY_IS_CFS"] = type(policy) is CfsPolicy
                     self._cycle = core.KernelCycle(self, support)
                     self._cpu_event_entry = self._cycle.cpu_event
                 except Exception:
@@ -592,12 +595,7 @@ class Kernel:
         cpu.run_started = now
 
     def _calc_slice(self, cpu: CpuState) -> int:
-        nr = max(1, cpu.rq.nr_schedulable())
-        if not self._policy_cfs:
-            return self.policy.slice_ns(nr)
-        sched = self.config.scheduler
-        sl = sched.sched_latency_ns // nr
-        return max(sched.min_granularity_ns, min(sched.regular_slice_ns, sl))
+        return self._pol_slice_ns(max(1, cpu.rq.nr_schedulable()))
 
     def _schedule(self, cpu: CpuState) -> None:
         """Pick the next task for an idle CPU (rq.curr must be None)."""
@@ -625,10 +623,7 @@ class Kernel:
                 cpu.poll_idle_since = now
             self._cancel_cpu_event(cpu)
             return
-        if self._policy_cfs:
-            task = cpu.rq.pick_next()
-        else:
-            task = self.policy.pick_next(cpu.rq)
+        task = self._pol_pick_next(cpu.rq)
         cpu.rq.curr = task
         self._dispatch(cpu, task)
 
@@ -674,7 +669,7 @@ class Kernel:
             task.woken_at = None
         task.skip_flag = False
         cpu.run_started = now + delay
-        # Inlined _speed_factor / _calc_slice (hot: once per dispatch).
+        # Inlined _speed_factor; the slice comes from the policy hook.
         sib = cpu.sib
         cpu.run_factor = (
             self._smt_factor
@@ -682,15 +677,7 @@ class Kernel:
             else 1.0
         )
         nr = cpu.rq.nr_schedulable()
-        if self._policy_cfs:
-            sl = sched.sched_latency_ns // (nr if nr > 1 else 1)
-            if sl > sched.regular_slice_ns:
-                sl = sched.regular_slice_ns
-            if sl < sched.min_granularity_ns:
-                sl = sched.min_granularity_ns
-        else:
-            sl = self.policy.slice_ns(nr if nr > 1 else 1)
-        cpu.slice_end = now + delay + sl
+        cpu.slice_end = now + delay + self._pol_slice_ns(nr if nr > 1 else 1)
         cpu.rq.update_min_vruntime()
         if self.trace.enabled:
             self.trace.emit(now, "dispatch", cpu.id, task.name)
@@ -808,18 +795,13 @@ class Kernel:
             return
         if now >= cpu.slice_end:
             task.stats.nr_slice_expiries += 1
-            if self._policy_cfs:
-                head = cpu.rq.peek_next()
-                preempt = head is not None and not head.thread_state
-            else:
-                preempt = self.policy.tick_preempt(cpu.rq, task)
-                head = cpu.rq.peek_next() if self.trace.enabled else None
-            if preempt:
+            if self._pol_tick_preempt(cpu.rq, task):
                 # Involuntary preemption at slice expiry.
                 task.stats.nr_involuntary += 1
                 if self.trace.enabled:
                     self.trace.emit(now, "slice-expiry", cpu.id, task.name,
                                     preempted=True)
+                    head = cpu.rq.peek_next()
                     self.trace.emit(now, "preempt", cpu.id, task.name,
                                     reason="slice-expiry",
                                     by=head.name if head is not None else None)
@@ -1429,12 +1411,7 @@ class Kernel:
         task.wake_completed = True
         task.woken_at = now
         task.stats.nr_wakeups += 1
-        if self._policy_cfs:
-            cpu.rq.place_vruntime(
-                task, self.config.scheduler.sched_latency_ns // 2
-            )
-        else:
-            self.policy.place_wakeup(cpu.rq, task)
+        self._pol_place_wakeup(cpu.rq, task)
         cpu.rq.enqueue(task)
         if self.trace.enabled:
             self.trace.emit(now, "wake", target, task.name, how="vanilla")
@@ -1526,12 +1503,7 @@ class Kernel:
         task.vruntime = (
             task.vruntime - home.rq.min_vruntime + cpu.rq.min_vruntime
         )
-        if self._policy_cfs:
-            cpu.rq.place_vruntime(
-                task, self.config.scheduler.sched_latency_ns // 2
-            )
-        else:
-            self.policy.place_wakeup(cpu.rq, task)
+        self._pol_place_wakeup(cpu.rq, task)
         cpu.rq.enqueue(task)
         if self.trace.enabled:
             self.trace.emit(now, "wake", target, task.name, how="vb-placed")
@@ -1553,12 +1525,7 @@ class Kernel:
                 self._schedule(cpu)
             return
         self._sync_current(cpu)
-        if self._policy_cfs:
-            gran = self.config.scheduler.wakeup_granularity_ns
-            preempt = curr.vruntime - woken.vruntime > gran
-        else:
-            preempt = self.policy.check_preempt(curr, woken)
-        if preempt:
+        if self._pol_check_preempt(curr, woken):
             curr.stats.nr_involuntary += 1
             if self.trace.enabled:
                 self.trace.emit(self.now, "preempt", cpu.id, curr.name,
@@ -1694,9 +1661,8 @@ class Kernel:
                 busiest_load = load
         if busiest is None:
             return None
-        cands = self._migratable(busiest.rq.steal_candidates())
-        if not self._policy_cfs:
-            cands = list(self.policy.steal_order(cands))
+        cands = self._pol_steal_order(
+            self._migratable(busiest.rq.steal_candidates()))
         if not cands:
             return None
         task = cands[int(self._rng_sched.integers(0, len(cands)))]
@@ -1753,9 +1719,8 @@ class Kernel:
                 return
             src = self.cpus[busiest_id]
             dst = self.cpus[idlest_id]
-            cands = self._migratable(src.rq.steal_candidates())
-            if not self._policy_cfs:
-                cands = list(self.policy.steal_order(cands))
+            cands = self._pol_steal_order(
+                self._migratable(src.rq.steal_candidates()))
             if not cands:
                 return
             task = cands[int(self._rng_sched.integers(0, len(cands)))]

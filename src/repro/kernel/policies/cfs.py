@@ -1,13 +1,11 @@
-"""CFS: the default policy, bit-identical to the historical kernel.
+"""CFS: the default policy.
 
-The hook bodies here restate the expressions that used to be inlined
-in ``kernel/kernel.py``; with ``inline_fast_path = True`` the kernel
-keeps running those original inlined forms (and the C ``KernelCycle``
-stays eligible), so the digests cannot move.  The hooks still matter:
-they are what the invariant checker, the conformance tests, and the
-policy-author guide treat as the reference semantics, and
-``tests/test_policy.py`` proves the hook path and the inlined path
-produce identical simulations.
+Every hook is the :class:`~repro.kernel.policy.SchedPolicy` default —
+the base class *is* CFS, so that a policy overriding nothing is already
+valid.  The kernel calls these hooks for every CFS decision; on the
+``fast`` backend the C ``KernelCycle`` replays the same decisions for
+the common dispatch/slice cases and hands everything else back to
+them (see ``docs/scheduling.md``).
 """
 
 from __future__ import annotations
@@ -24,14 +22,3 @@ class CfsPolicy(SchedPolicy):
                    "[`min_granularity`, `regular_slice`]")
     preempt_rule = ("wakeup: `curr.vruntime - woken.vruntime > "
                     "wakeup_granularity`; tick: any queued runnable")
-    inline_fast_path = True
-
-    # Every hook is the SchedPolicy default: the base class *is* CFS so
-    # that a policy overriding nothing is already valid.  Listed
-    # explicitly anyway so this file reads as the reference policy.
-
-    def queue_key(self, task) -> int:
-        return task.vruntime
-
-    def expected_key(self, task) -> int | None:
-        return task.vruntime

@@ -10,10 +10,10 @@ order the balancer considers steal candidates.
 Policies register themselves with :func:`register`; the registry drives
 ``--policy`` / ``REPRO_POLICY`` selection (mirroring the ``--backend``
 plumbing in :mod:`repro.fastpath`), the ``repro list`` table, and the
-generated comparison table in ``docs/scheduling.md``.  The default
-``cfs`` policy reproduces the kernel's historical inlined behavior
-bit-for-bit; see ``docs/scheduling.md`` for the full hook contract and
-a write-a-policy walkthrough.
+generated comparison table in ``docs/scheduling.md``.  The base-class
+hooks are CFS; the default ``cfs`` policy overrides none of them.  See
+``docs/scheduling.md`` for the full hook contract and a write-a-policy
+walkthrough.
 """
 
 from __future__ import annotations
@@ -51,13 +51,19 @@ class SchedPolicy:
     #: human-readable preemption rule for the generated comparison table
     preempt_rule = "wakeup: vruntime gap > wakeup_granularity; " \
         "tick: any queued runnable"
-    #: when True the kernel keeps its historical inlined CFS fast path
-    #: (bit-identical, fastpath-eligible) instead of calling these hooks
-    inline_fast_path = False
 
     def configure(self, sched) -> None:
-        """Bind the kernel's ``SchedulerConfig`` (slice/latency knobs)."""
+        """Bind the kernel's ``SchedulerConfig`` (slice/latency knobs).
+
+        The CFS hooks run on every dispatch and wakeup, so the knobs
+        they read are copied into plain attributes here once.
+        """
         self.sched = sched
+        self._latency_ns = sched.sched_latency_ns
+        self._min_slice_ns = sched.min_granularity_ns
+        self._max_slice_ns = sched.regular_slice_ns
+        self._wakeup_gran_ns = sched.wakeup_granularity_ns
+        self._sleeper_credit_ns = sched.sched_latency_ns // 2
 
     # -- queue keying -------------------------------------------------
     def queue_key(self, task) -> int:
@@ -67,7 +73,10 @@ class SchedPolicy:
         task (never for VB-parked tasks — those get the sentinel key).
         May refresh per-task policy state (e.g. renew an EEVDF
         deadline).  Must return a value far below ``VB_SENTINEL`` so
-        parked tasks always sort behind every runnable.
+        parked tasks always sort behind every runnable.  The kernel
+        installs it as the runqueues' ``key_fn`` only when a policy
+        overrides it: vruntime order is the runqueue's built-in keying,
+        which keeps ``update_min_vruntime`` O(1).
         """
         return task.vruntime
 
@@ -97,11 +106,11 @@ class SchedPolicy:
         sleepers can never bank runtime.  Not called on VB wakes —
         in-place re-keying is the mechanism VB exists for.
         """
-        rq.place_vruntime(task, self.sched.sched_latency_ns // 2)
+        rq.place_vruntime(task, self._sleeper_credit_ns)
 
     def check_preempt(self, curr, woken) -> bool:
         """Should ``woken`` (just enqueued on curr's CPU) preempt now?"""
-        return curr.vruntime - woken.vruntime > self.sched.wakeup_granularity_ns
+        return curr.vruntime - woken.vruntime > self._wakeup_gran_ns
 
     def tick_preempt(self, rq, curr) -> bool:
         """Slice expired for ``curr``: reschedule, or extend its slice?"""
@@ -110,22 +119,20 @@ class SchedPolicy:
 
     def slice_ns(self, nr_schedulable: int) -> int:
         """Length of the next time slice given the schedulable count."""
-        sched = self.sched
-        sl = sched.sched_latency_ns // (
-            nr_schedulable if nr_schedulable > 1 else 1
-        )
-        if sl > sched.regular_slice_ns:
-            sl = sched.regular_slice_ns
-        if sl < sched.min_granularity_ns:
-            sl = sched.min_granularity_ns
+        sl = self._latency_ns // (nr_schedulable if nr_schedulable > 1 else 1)
+        if sl > self._max_slice_ns:
+            sl = self._max_slice_ns
+        if sl < self._min_slice_ns:
+            sl = self._min_slice_ns
         return sl
 
     # -- balancing ----------------------------------------------------
     def steal_order(self, candidates):
         """Order migratable candidates before the balancer's seeded pick.
 
-        The kernel draws from this sequence with its scheduler RNG;
-        returning it unchanged (default) preserves CFS behavior.
+        ``candidates`` is a list; return a sequence (the kernel indexes
+        it with its scheduler RNG).  Returning it unchanged (default)
+        preserves CFS behavior.
         """
         return candidates
 

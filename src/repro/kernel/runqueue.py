@@ -41,8 +41,8 @@ class CfsRunqueue:
         self._seq = 0
         self.nr_blocked = 0  # sentinel-keyed (VB-blocked) entries in tree
         self.nr_enqueues = 0
-        # Non-CFS policies install their queue_key hook here; None keeps
-        # the historical inlined vruntime keying (and its O(1) min path).
+        # A policy that overrides queue_key installs it here; None keeps
+        # vruntime keying (and its O(1) min path).
         self.key_fn = None
 
     # ------------------------------------------------------------------
@@ -157,7 +157,7 @@ class CfsRunqueue:
         else:
             # Policy keys are not vruntimes, so the leftmost key says
             # nothing about the vruntime floor — scan the live entries
-            # (cold: only non-CFS policies take this branch).
+            # (cold: only policies with their own queue_key take it).
             for t in tree.values():
                 if t.thread_state == 0 and (vr is None or t.vruntime < vr):
                     vr = t.vruntime

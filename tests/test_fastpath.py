@@ -5,14 +5,17 @@ docs/performance.md:
 
 * engine parity — hypothesis drives randomized schedule/cancel/run-until
   scripts (including re-entrant scheduling and cancellation from inside
-  callbacks) through the pure wheel, the slab fallback, and the compiled
-  C core, asserting identical event order, clock, pending count, and
-  peek time at every step;
+  callbacks) through the pure wheel and the compiled C core, asserting
+  identical event order, clock, pending count, and peek time at every
+  step;
 * runqueue parity — the heap runqueue must reproduce the rbtree's pick
   order op for op;
 * kernel trace parity — the same scenario run under ``pure`` and
   ``fast`` must produce byte-identical trace streams, including a
   32-CPU futex-heavy run that drives the balancer through CPU hot-plug.
+
+When the C core cannot load, ``fast`` runs the ``pure`` classes; the
+fallback test below pins that down.
 """
 
 from __future__ import annotations
@@ -27,11 +30,13 @@ from repro.config import optimized_config, vanilla_config
 from repro.fastpath import (
     BACKENDS,
     backend_info,
+    build,
     current_backend,
     engine_class,
     fastcore_available,
     make_engine,
     make_runqueue,
+    runqueue_class,
     set_backend,
 )
 from repro.fastpath.parity import (
@@ -42,6 +47,7 @@ from repro.fastpath.parity import (
 from repro.fastpath.runqueue import FastCfsRunqueue
 from repro.kernel.kernel import Kernel
 from repro.kernel.runqueue import CfsRunqueue
+from repro.sim.engine import Engine
 from repro.kernel.task import Task, TaskState
 from repro.prog.actions import (
     BarrierWait,
@@ -102,7 +108,8 @@ def test_engine_parity_cancel_heavy():
 
 def test_engine_backends_present():
     names = [n for n, _f in engine_backends()]
-    assert names[0] == "pure" and "slab" in names
+    expected = ["pure", "fastcore"] if fastcore_available() else ["pure"]
+    assert names == expected
 
 
 # ---------------------------------------------------------------------------
@@ -260,25 +267,28 @@ def test_kernel_trace_parity_mixed_workload():
     assert streams["pure"] == streams["fast"]
 
 
-def _untraced_results(make_config, scenario, horizon_ns) -> dict:
-    """Clock, event count and per-task stats under each backend.  No
-    tracing, so the fast kernel stays on the C cycle and its runqueue
-    ops instead of bailing to Python on every event."""
-    def run():
-        k = Kernel(make_config())
-        scenario(k)
-        k.run_for(horizon_ns)
-        stats = [(t.name, t.vruntime, dataclasses.astuple(t.stats))
-                 for t in k.tasks]
-        k.shutdown()
-        return k.now, k.engine.events_run, stats
+def _untraced_run(make_config, scenario, horizon_ns) -> tuple:
+    """Clock, event count and per-task stats of one run under the
+    current backend.  No tracing, so a fast kernel stays on the C cycle
+    and its runqueue ops instead of bailing to Python on every event."""
+    k = Kernel(make_config())
+    scenario(k)
+    k.run_for(horizon_ns)
+    stats = [(t.name, t.vruntime, dataclasses.astuple(t.stats))
+             for t in k.tasks]
+    k.shutdown()
+    return k.now, k.engine.events_run, stats
 
+
+def _untraced_results(make_config, scenario, horizon_ns) -> dict:
+    """:func:`_untraced_run` under each backend."""
     prev = current_backend()
     results = {}
     try:
         for backend in ("pure", "fast"):
             set_backend(backend)
-            results[backend] = run()
+            results[backend] = _untraced_run(make_config, scenario,
+                                             horizon_ns)
     finally:
         set_backend(prev)
     return results
@@ -362,6 +372,24 @@ def test_cycle_keeps_runqueue_ops(cores):
     k.shutdown()
 
 
+def test_cycle_requires_policy_gate():
+    # The kernel always passes POLICY_IS_CFS; without it the C cycle
+    # refuses to build rather than guess a policy.
+    if not fastcore_available():  # pragma: no cover - no C compiler
+        pytest.skip("C core unavailable")
+    from repro.kernel.kernel import _cycle_support
+
+    prev = current_backend()
+    try:
+        set_backend("fast")
+        k = Kernel(vanilla_config(cores=2, seed=1))
+    finally:
+        set_backend(prev)
+    with pytest.raises(KeyError, match="POLICY_IS_CFS"):
+        build.load_fastcore().KernelCycle(k, _cycle_support())
+    k.shutdown()
+
+
 # ---------------------------------------------------------------------------
 # Backend selection plumbing
 # ---------------------------------------------------------------------------
@@ -373,8 +401,9 @@ def test_backend_selection_roundtrip():
         assert current_backend() == "fast"
         info = backend_info()
         assert info["backend"] == "fast" and "fastcore" in info
-        assert engine_class().__name__ in ("FastEngine", "SlabEngine")
-        assert isinstance(make_runqueue(0), FastCfsRunqueue)
+        if fastcore_available():
+            assert engine_class().__name__ == "FastEngine"
+            assert isinstance(make_runqueue(0), FastCfsRunqueue)
         set_backend("pure")
         assert backend_info() == {"backend": "pure"}
         assert engine_class().__name__ == "Engine"
@@ -392,8 +421,34 @@ def test_kernel_uses_backend_engine_and_runqueue():
     try:
         set_backend("fast")
         k = Kernel(vanilla_config(cores=2, seed=1))
-        assert type(k.engine).__name__ in ("FastEngine", "SlabEngine")
-        assert isinstance(k.cpus[0].rq, FastCfsRunqueue)
+        if fastcore_available():
+            assert type(k.engine).__name__ == "FastEngine"
+            assert isinstance(k.cpus[0].rq, FastCfsRunqueue)
         k.shutdown()
     finally:
         set_backend(prev)
+
+
+def test_fast_backend_without_c_core_runs_pure_classes(monkeypatch):
+    """If the C core cannot load, ``fast`` is the pure engine and
+    runqueue: same classes, same results, and the report says so."""
+    def config():
+        return vanilla_config(cores=2, seed=2021)
+
+    prev = current_backend()
+    try:
+        set_backend("pure")
+        pure = _untraced_run(config, _mixed_scenario, 20 * MS)
+        monkeypatch.setattr(build, "load_fastcore", lambda: None)
+        set_backend("fast")
+        assert engine_class() is Engine
+        assert runqueue_class() is CfsRunqueue
+        assert backend_info() == {"backend": "fast", "fastcore": False}
+        k = Kernel(config())
+        assert type(k.engine) is Engine and k._cycle is None
+        assert all(type(c.rq) is CfsRunqueue for c in k.cpus)
+        k.shutdown()
+        fast = _untraced_run(config, _mixed_scenario, 20 * MS)
+    finally:
+        set_backend(prev)
+    assert fast == pure

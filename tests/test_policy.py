@@ -1,7 +1,7 @@
-"""Pluggable scheduler policies: registry contract, CFS-through-the-
-interface identity, per-policy invariants/properties (work conservation,
-no lost tasks, RR rotation, EEVDF eligibility), descriptor/cache-key
-stability, and the fast backend's non-CFS bailout contract."""
+"""Pluggable scheduler policies: registry contract, runqueue keying per
+policy, per-policy invariants/properties (work conservation, no lost
+tasks, RR rotation, EEVDF eligibility), descriptor/cache-key stability,
+and the fast backend's non-CFS bailout contract."""
 
 from __future__ import annotations
 
@@ -278,21 +278,18 @@ def test_eevdf_picks_eligible_earliest_deadline():
 
 
 # ---------------------------------------------------------------------
-# CFS through the interface
+# runqueue keying
 # ---------------------------------------------------------------------
 
-def test_cfs_hook_path_matches_inline_path(monkeypatch):
-    """The CfsPolicy hooks restate the kernel's inlined expressions:
-    forcing the hook path must reproduce the inline path bit-for-bit."""
-    inline = run_point("cfs")
-    monkeypatch.setattr(CfsPolicy, "inline_fast_path", False)
-    assert run_point("cfs") == inline
-
-
-def test_cfs_hook_path_matches_on_dense_kernel(monkeypatch):
-    inline = compute_kernel("cfs", cores=2, ntasks=6)[1]
-    monkeypatch.setattr(CfsPolicy, "inline_fast_path", False)
-    assert compute_kernel("cfs", cores=2, ntasks=6)[1] == inline
+@pytest.mark.parametrize("policy", available())
+def test_key_fn_installed_only_for_policies_with_their_own_key(policy):
+    """CFS keeps the runqueue's built-in vruntime keying and its O(1)
+    leftmost min_vruntime; a key_fn on CFS queues would make every
+    dispatch scan the queue for the vruntime floor."""
+    k = Kernel(vanilla_config(cores=4, policy=policy))
+    installed = [cpu.rq.key_fn is not None for cpu in k.cpus]
+    assert installed == [policy != "cfs"] * len(k.cpus)
+    k.shutdown()
 
 
 # ---------------------------------------------------------------------
