@@ -17,7 +17,7 @@ and in ``docs/robustness.md``):
                             VBLOCKED on a queue other than ``vb_cpu``, ...)
 ``vb-sentinel-running``     a CPU's current task has ``thread_state`` set
                             (a VB-sentinel entry was selected to run)
-``rq-key``                  a task's ``rq_key`` disagrees with the tree,
+``rq-key``                  a task's ``rq_key`` disagrees with its queue entry,
                             its key class disagrees with ``thread_state``,
                             or a real-keyed entry's key is stale vs. the
                             policy's ``expected_key`` (the vruntime under
@@ -121,12 +121,12 @@ class InvariantChecker:
         for cpu in k.cpus:
             rq = cpu.rq
             curr = rq.curr
-            if not cpu.online and (curr is not None or rq.tree.size):
+            if not cpu.online and (curr is not None or rq.nr_queued):
                 fail(
                     "offline-cpu-empty",
                     f"offline cpu{cpu.id} still holds tasks",
                     cpu=cpu.id,
-                    queued=rq.tree.size,
+                    queued=rq.nr_queued,
                     curr=curr.name if curr is not None else None,
                 )
             if curr is not None:
@@ -178,7 +178,7 @@ class InvariantChecker:
                         cpu=cpu.id,
                     )
             blocked = 0
-            for key, t in rq.tree.items():
+            for key, t in rq.items():
                 if t in seen:
                     fail(
                         "task-duplicate",
@@ -239,7 +239,7 @@ class InvariantChecker:
                     counter=rq.nr_blocked,
                     recount=blocked,
                 )
-            expect_sched = rq.tree.size - blocked + (
+            expect_sched = rq.nr_queued - blocked + (
                 1 if curr is not None and curr.thread_state == 0 else 0
             )
             if expect_sched != rq.nr_schedulable():
@@ -251,13 +251,13 @@ class InvariantChecker:
                     counter=rq.nr_schedulable(),
                     recount=expect_sched,
                 )
-            if cpu.online and curr is None and rq.tree.size - blocked > 0:
+            if cpu.online and curr is None and rq.nr_queued - blocked > 0:
                 fail(
                     "work-conservation",
                     f"cpu{cpu.id} is idle with "
-                    f"{rq.tree.size - blocked} runnable task(s) queued",
+                    f"{rq.nr_queued - blocked} runnable task(s) queued",
                     cpu=cpu.id,
-                    runnable=rq.tree.size - blocked,
+                    runnable=rq.nr_queued - blocked,
                 )
             mv = rq.min_vruntime
             last = self._min_vr.get(cpu.id)
@@ -272,7 +272,7 @@ class InvariantChecker:
                 )
             self._min_vr[cpu.id] = mv
             if self.deep:
-                rq.tree.validate()
+                rq.validate()
 
         live = 0
         for t in k.tasks:

@@ -1,21 +1,23 @@
-"""Opt-in accelerated engine/runqueue backend (``--backend fast``).
+"""Opt-in accelerated hot core (``--backend fast``).
 
 The simulator ships two interchangeable hot cores:
 
-* ``pure`` (default) — the reference implementation:
-  :class:`repro.sim.engine.Engine` (bucketed timer wheel) and
-  :class:`repro.kernel.runqueue.CfsRunqueue` (red-black tree).
-* ``fast`` — this package: a C extension compiled on first use (a
-  slab/heap event engine and a kernel cycle) driving a
-  heap-with-tombstones runqueue.  When the extension cannot be built
-  or loaded, ``fast`` runs the ``pure`` classes; ``backend_info()``
+* ``pure`` (default) — the reference implementation: the bucketed
+  timer-wheel :class:`repro.sim.engine.Engine` and the kernel's Python
+  methods for every scheduling event.
+* ``fast`` — this package: a C extension compiled on first use that
+  supplies a slab/heap event engine and a kernel cycle replaying the
+  common scheduling events in C.  When the extension cannot be built
+  or loaded, ``fast`` runs the ``pure`` engine; ``backend_info()``
   reports which one ran.
 
-The backend is a process-global execution detail, *not* part of
-:class:`~repro.config.SimConfig` or any cache key: both backends
-produce bit-identical results by construction (same event total order,
-same RNG draw order), which the golden-digest suite and the parity
-harness in ``tests/test_fastpath.py`` enforce.  Select with
+Both cores drive the same runqueue,
+:class:`repro.kernel.runqueue.CfsRunqueue`: the backend picks only the
+engine and whether the C cycle runs.  It is a process-global execution
+detail, *not* part of :class:`~repro.config.SimConfig` or any cache key:
+both backends produce bit-identical results by construction (same event
+total order, same RNG draw order), which the golden-digest suite and the
+parity harness in ``tests/test_fastpath.py`` enforce.  Select with
 ``set_backend("fast")``, the ``REPRO_BACKEND`` environment variable, or
 the ``--backend`` CLI flag.
 """
@@ -69,22 +71,6 @@ def engine_class():
 def make_engine():
     """A fresh engine for the current backend."""
     return engine_class()()
-
-
-def runqueue_class():
-    """The runqueue class the current backend would instantiate."""
-    if _backend == "fast" and fastcore_available():
-        from .runqueue import FastCfsRunqueue
-
-        return FastCfsRunqueue
-    from ..kernel.runqueue import CfsRunqueue
-
-    return CfsRunqueue
-
-
-def make_runqueue(cpu_id: int):
-    """A fresh per-CPU runqueue for the current backend."""
-    return runqueue_class()(cpu_id)
 
 
 def backend_info() -> dict:

@@ -714,8 +714,7 @@ static PyTypeObject EngineType = {
     X(wakeup_latency_ns) \
     X(trace) X(enabled) X(record) X(psi_waiting) X(psi_running) \
     X(negative_latency_samples) \
-    X(peek_next) X(pick_next) X(nr_schedulable) X(enqueue) \
-    X(update_min_vruntime) X(ns) X(cancelled) X(cancel) \
+    X(ns) X(cancelled) X(cancel) \
     X(context_switch_ns) X(sched_latency_ns) X(min_granularity_ns) \
     X(regular_slice_ns)
 
@@ -773,16 +772,11 @@ typedef struct {
     Py_ssize_t o_id, o_rq, o_sib, o_gen, o_event, o_run_started,
         o_run_factor, o_slice_end, o_busy_ns, o_sched_ns, o_stall_ns,
         o_last_task, o_online, o_nr_switches;
-    Py_ssize_t o_rq_curr;      /* runqueue `curr` slot offset */
-    /* Fast runqueue ops: enabled when the rq is a FastCfsRunqueue whose
-     * slots all resolved (reported as counters()["rq_ops"]).  The C ops
-     * mutate the same heap list / counters the Python methods use, so
-     * both sides interleave freely. */
-    int rq_fast;
-    PyTypeObject *rq_type;     /* borrowed; identity gate for fast ops */
-    Py_ssize_t o_rq_heap, o_rq_nstale, o_rq_seq, o_rq_nblocked,
-        o_rq_nenq, o_rq_minvr, o_rq_tree;
-    Py_ssize_t o_tv_size;      /* _HeapTreeView.size */
+    /* CfsRunqueue slot offsets.  The C runqueue ops mutate the same
+     * heap list and counters the Python methods use, so both sides
+     * interleave freely. */
+    Py_ssize_t o_rq_curr, o_rq_heap, o_rq_nstale, o_rq_seq, o_rq_nqueued,
+        o_rq_nblocked, o_rq_nenq, o_rq_minvr;
     long long vb_sentinel;
     long long fast_events;     /* events fully handled in C */
     long long bailouts;        /* events handed back to Python */
@@ -1021,21 +1015,16 @@ static int cycle_continue(CycleObject *c, PyObject *cpu);
 static int cycle_schedule(CycleObject *c, PyObject *cpu);
 
 /* ------------------------------------------------------------------ */
-/* Fast runqueue ops: FastCfsRunqueue's five hot methods in C.        */
+/* Runqueue ops: CfsRunqueue's five hot methods in C.                 */
 /*                                                                    */
 /* These operate on the queue's own Python structures — the `_heap`   */
-/* list of (k0, seq, key, task) tuples, the tree-view size, the       */
-/* counters, the task's `rq_key` tombstone marker — so the Python     */
-/* methods (dequeue, requeue, compaction, iteration) interleave with  */
-/* them freely.  `seq` is unique, so comparing (k0, seq) as C ints    */
-/* reproduces the tuple order exactly and pop order is total.         */
+/* list of (k0, seq, key, task) tuples, the `nr_queued` and other     */
+/* counter slots, the task's `rq_key` tombstone marker — so the       */
+/* Python methods (dequeue, requeue, compaction, iteration)           */
+/* interleave with them freely.  `seq` is unique, so comparing        */
+/* (k0, seq) as C ints reproduces the tuple order exactly and pop     */
+/* order is total.                                                    */
 /* ------------------------------------------------------------------ */
-
-static inline int
-rq_is_fast(CycleObject *c, PyObject *rq)
-{
-    return c->rq_fast && Py_TYPE(rq) == c->rq_type;
-}
 
 static inline int
 ent_k(PyObject *e, long long *k0, long long *seq)
@@ -1145,7 +1134,7 @@ err:
     return NULL;
 }
 
-/* FastCfsRunqueue._settle: pop stale entries off the root.  Returns
+/* CfsRunqueue._settle: pop stale entries off the root.  Returns
  * 1 if a live entry remains, 0 if the heap drained, -1 on error. */
 static int
 rq_settle(CycleObject *c, PyObject *rq)
@@ -1176,7 +1165,7 @@ rq_settle(CycleObject *c, PyObject *rq)
     }
 }
 
-/* FastCfsRunqueue.peek_next: borrowed task or Py_None; NULL on error. */
+/* CfsRunqueue.peek_next: borrowed task or Py_None; NULL on error. */
 static PyObject *
 rq_peek_next_c(CycleObject *c, PyObject *rq)
 {
@@ -1189,12 +1178,12 @@ rq_peek_next_c(CycleObject *c, PyObject *rq)
         PyList_GET_ITEM(slot_get(rq, c->o_rq_heap), 0), 3);
 }
 
-/* FastCfsRunqueue.pick_next: new ref to task or Py_None; NULL on error. */
+/* CfsRunqueue.pick_next: new ref to task or Py_None; NULL on error. */
 static PyObject *
 rq_pick_next_c(CycleObject *c, PyObject *rq)
 {
     int live = rq_settle(c, rq);
-    PyObject *entry, *task, *td, *tv;
+    PyObject *entry, *task, *td;
     long long k0, seq, size;
     if (live < 0)
         return NULL;
@@ -1216,9 +1205,8 @@ rq_pick_next_c(CycleObject *c, PyObject *rq)
         goto err;
     if (PyDict_SetItem(td, s_rq_key, Py_None) < 0)
         goto err;
-    tv = slot_get(rq, c->o_rq_tree);
-    if (slot_ll(tv, c->o_tv_size, &size) < 0 ||
-        slot_set_ll(tv, c->o_tv_size, size - 1) < 0)
+    if (slot_ll(rq, c->o_rq_nqueued, &size) < 0 ||
+        slot_set_ll(rq, c->o_rq_nqueued, size - 1) < 0)
         goto err;
     Py_INCREF(task);
     Py_DECREF(entry);
@@ -1228,11 +1216,11 @@ err:
     return NULL;
 }
 
-/* FastCfsRunqueue.enqueue. */
+/* CfsRunqueue.enqueue. */
 static int
 rq_enqueue_c(CycleObject *c, PyObject *rq, PyObject *task)
 {
-    PyObject *td, *rk, *k0o, *seqo, *key, *entry, *tv;
+    PyObject *td, *rk, *k0o, *seqo, *key, *entry;
     long long seq, ts, k0, nb, nenq, size;
     if ((td = inst_dict(task)) == NULL)
         return -1;
@@ -1289,21 +1277,19 @@ rq_enqueue_c(CycleObject *c, PyObject *rq, PyObject *task)
     if (slot_ll(rq, c->o_rq_nenq, &nenq) < 0 ||
         slot_set_ll(rq, c->o_rq_nenq, nenq + 1) < 0)
         return -1;
-    tv = slot_get(rq, c->o_rq_tree);
-    if (slot_ll(tv, c->o_tv_size, &size) < 0 ||
-        slot_set_ll(tv, c->o_tv_size, size + 1) < 0)
+    if (slot_ll(rq, c->o_rq_nqueued, &size) < 0 ||
+        slot_set_ll(rq, c->o_rq_nqueued, size + 1) < 0)
         return -1;
     return 0;
 }
 
-/* FastCfsRunqueue.nr_schedulable. */
+/* CfsRunqueue.nr_schedulable. */
 static int
 rq_nr_schedulable_c(CycleObject *c, PyObject *rq, long long *out)
 {
-    PyObject *tv = slot_get(rq, c->o_rq_tree);
     PyObject *curr;
     long long size, nb, n;
-    if (slot_ll(tv, c->o_tv_size, &size) < 0 ||
+    if (slot_ll(rq, c->o_rq_nqueued, &size) < 0 ||
         slot_ll(rq, c->o_rq_nblocked, &nb) < 0)
         return -1;
     n = size - nb;
@@ -1320,7 +1306,7 @@ rq_nr_schedulable_c(CycleObject *c, PyObject *rq, long long *out)
     return 0;
 }
 
-/* FastCfsRunqueue.update_min_vruntime. */
+/* CfsRunqueue.update_min_vruntime. */
 static int
 rq_update_min_vruntime_c(CycleObject *c, PyObject *rq)
 {
@@ -1366,7 +1352,7 @@ cycle_put_prev(CycleObject *c, PyObject *cpu)
 {
     PyObject *rq = slot_get(cpu, c->o_rq);
     PyObject *task = slot_get(rq, c->o_rq_curr);
-    PyObject *td, *r;
+    PyObject *td;
     long long now = c->engine->now;
     int ss;
     if (task == NULL || task == Py_None) {
@@ -1390,20 +1376,9 @@ cycle_put_prev(CycleObject *c, PyObject *cpu)
     }
     slot_set(rq, c->o_rq_curr, Py_None);
     slot_set(cpu, c->o_last_task, task);
-    if (rq_is_fast(c, rq)) {
-        if (rq_enqueue_c(c, rq, task) < 0 ||
-            rq_update_min_vruntime_c(c, rq) < 0)
-            goto fail;
-    } else {
-        r = PyObject_CallMethodOneArg(rq, s_enqueue, task);
-        if (r == NULL)
-            goto fail;
-        Py_DECREF(r);
-        r = PyObject_CallMethodNoArgs(rq, s_update_min_vruntime);
-        if (r == NULL)
-            goto fail;
-        Py_DECREF(r);
-    }
+    if (rq_enqueue_c(c, rq, task) < 0 ||
+        rq_update_min_vruntime_c(c, rq) < 0)
+        goto fail;
     Py_DECREF(task);
     return 0;
 fail:
@@ -1416,18 +1391,8 @@ static int
 cycle_calc_slice(CycleObject *c, PyObject *rq, long long *out)
 {
     long long nr, lat, gran, reg, sl;
-    if (rq_is_fast(c, rq)) {
-        if (rq_nr_schedulable_c(c, rq, &nr) < 0)
-            return -1;
-    } else {
-        PyObject *nr_o = PyObject_CallMethodNoArgs(rq, s_nr_schedulable);
-        if (nr_o == NULL)
-            return -1;
-        nr = PyLong_AsLongLong(nr_o);
-        Py_DECREF(nr_o);
-        if (nr == -1 && PyErr_Occurred())
-            return -1;
-    }
+    if (rq_nr_schedulable_c(c, rq, &nr) < 0)
+        return -1;
     if (nr < 1)
         nr = 1;
     if (attr_ll(c->sched, s_sched_latency_ns, &lat) < 0 ||
@@ -1601,18 +1566,8 @@ cycle_dispatch(CycleObject *c, PyObject *cpu, PyObject *task)
     }
     /* slice = clamp(latency // max(nr, 1)) — replay of the CfsPolicy
      * slice_ns hook (SchedPolicy.slice_ns) as _dispatch calls it. */
-    if (rq_is_fast(c, rq)) {
-        if (rq_nr_schedulable_c(c, rq, &nr) < 0)
-            goto fail;
-    } else {
-        PyObject *nr_o = PyObject_CallMethodNoArgs(rq, s_nr_schedulable);
-        if (nr_o == NULL)
-            goto fail;
-        nr = PyLong_AsLongLong(nr_o);
-        Py_DECREF(nr_o);
-        if (nr == -1 && PyErr_Occurred())
-            goto fail;
-    }
+    if (rq_nr_schedulable_c(c, rq, &nr) < 0)
+        goto fail;
     if (attr_ll(c->sched, s_sched_latency_ns, &lat) < 0 ||
         attr_ll(c->sched, s_min_granularity_ns, &gran) < 0 ||
         attr_ll(c->sched, s_regular_slice_ns, &reg) < 0)
@@ -1624,15 +1579,8 @@ cycle_dispatch(CycleObject *c, PyObject *cpu, PyObject *task)
         sl = gran;
     if (slot_set_ll(cpu, c->o_slice_end, now + delay + sl) < 0)
         goto fail;
-    if (rq_is_fast(c, rq)) {
-        if (rq_update_min_vruntime_c(c, rq) < 0)
-            goto fail;
-    } else {
-        r = PyObject_CallMethodNoArgs(rq, s_update_min_vruntime);
-        if (r == NULL)
-            goto fail;
-        Py_DECREF(r);
-    }
+    if (rq_update_min_vruntime_c(c, rq) < 0)
+        goto fail;
     Py_DECREF(task);
     return cycle_continue(c, cpu);
 fail:
@@ -1649,41 +1597,25 @@ cycle_schedule(CycleObject *c, PyObject *cpu)
     PyObject *online = slot_get(cpu, c->o_online);
     PyObject *head, *hd, *ts, *task;
     int r;
-    int fast = rq_is_fast(c, rq);
     if (online == NULL || PyObject_IsTrue(online) != 1)
         return bail_call(c, s_m_schedule, cpu, NULL);
-    if (fast) {
-        head = rq_peek_next_c(c, rq);
-        if (head == NULL)
-            return -1;
-        Py_INCREF(head);
-    } else {
-        head = PyObject_CallMethodNoArgs(rq, s_peek_next);
-        if (head == NULL)
-            return -1;
-    }
-    if (head == Py_None) {
-        Py_DECREF(head);
+    head = rq_peek_next_c(c, rq); /* borrowed */
+    if (head == NULL)
+        return -1;
+    if (head == Py_None)
         return bail_call(c, s_m_schedule, cpu, NULL);
-    }
     hd = inst_dict(head);
-    if (hd == NULL) {
-        Py_DECREF(head);
+    if (hd == NULL)
         return -1;
-    }
     ts = dgetc(hd, s_thread_state);
-    if (ts == NULL) {
-        Py_DECREF(head);
+    if (ts == NULL)
         return -1;
-    }
     r = PyObject_IsTrue(ts);
-    Py_DECREF(head);
     if (r < 0)
         return -1;
     if (r)
         return bail_call(c, s_m_schedule, cpu, NULL);
-    task = fast ? rq_pick_next_c(c, rq)
-                : PyObject_CallMethodNoArgs(rq, s_pick_next);
+    task = rq_pick_next_c(c, rq);
     if (task == NULL)
         return -1;
     slot_set(rq, c->o_rq_curr, task);
@@ -2042,31 +1974,19 @@ cycle_cpu_event(CycleObject *c, PyObject *args)
             goto fail;
         if (dadd_ll(sd, s_nr_slice_expiries, 1) < 0)
             goto fail;
-        if (rq_is_fast(c, rq)) {
-            head = rq_peek_next_c(c, rq);
-            if (head == NULL)
-                goto fail;
-            Py_INCREF(head);
-        } else {
-            head = PyObject_CallMethodNoArgs(rq, s_peek_next);
-            if (head == NULL)
-                goto fail;
-        }
+        head = rq_peek_next_c(c, rq); /* borrowed */
+        if (head == NULL)
+            goto fail;
         if (head != Py_None) {
             PyObject *hd = inst_dict(head);
             PyObject *ts;
             int runnable;
-            if (hd == NULL) {
-                Py_DECREF(head);
+            if (hd == NULL)
                 goto fail;
-            }
             ts = dgetc(hd, s_thread_state);
-            if (ts == NULL) {
-                Py_DECREF(head);
+            if (ts == NULL)
                 goto fail;
-            }
             runnable = PyObject_IsTrue(ts) == 0;
-            Py_DECREF(head);
             if (runnable) {
                 if (dadd_ll(sd, s_nr_involuntary, 1) < 0)
                     goto fail;
@@ -2077,8 +1997,6 @@ cycle_cpu_event(CycleObject *c, PyObject *args)
                 Py_DECREF(task);
                 Py_RETURN_NONE;
             }
-        } else {
-            Py_DECREF(head);
         }
         {
             long long sl;
@@ -2210,48 +2128,28 @@ cycle_new(PyTypeObject *type, PyObject *args, PyObject *Py_UNUSED(kwargs))
         PyErr_SetString(PyExc_AttributeError, "cpu.rq unset");
         goto fail;
     }
-    if ((c->o_rq_curr = resolve_slot(Py_TYPE(rq0), "curr")) < 0)
-        goto fail;
-    /* Fast runqueue ops are optional: any resolution failure simply
-     * leaves the Python-method fallback in place (counters() reports
-     * it as rq_ops == 0). */
-    c->rq_fast = 0;
+    /* Runqueue slots are required: a slot that fails to resolve fails
+     * construction, and the kernel then runs without the C cycle. */
     {
         PyTypeObject *rt = Py_TYPE(rq0);
-        PyObject *vbo = PyDict_GetItemString(support, "VB_SENTINEL");
-        int ok = vbo != NULL;
-        if (ok) {
-            c->vb_sentinel = PyLong_AsLongLong(vbo);
-            if (c->vb_sentinel == -1 && PyErr_Occurred()) {
-                PyErr_Clear();
-                ok = 0;
-            }
-        }
+        PyObject *vbo = support_get(support, "VB_SENTINEL");
+        if (vbo == NULL)
+            goto fail;
+        c->vb_sentinel = PyLong_AsLongLong(vbo);
+        if (c->vb_sentinel == -1 && PyErr_Occurred())
+            goto fail;
 #define RESOLVE_RQ(field, name) \
-        if (ok && (c->field = resolve_slot(rt, name)) < 0) { \
-            PyErr_Clear(); \
-            ok = 0; \
-        }
+        if ((c->field = resolve_slot(rt, name)) < 0) \
+            goto fail;
+        RESOLVE_RQ(o_rq_curr, "curr")
         RESOLVE_RQ(o_rq_heap, "_heap")
         RESOLVE_RQ(o_rq_nstale, "_n_stale")
         RESOLVE_RQ(o_rq_seq, "_seq")
+        RESOLVE_RQ(o_rq_nqueued, "nr_queued")
         RESOLVE_RQ(o_rq_nblocked, "nr_blocked")
         RESOLVE_RQ(o_rq_nenq, "nr_enqueues")
         RESOLVE_RQ(o_rq_minvr, "min_vruntime")
-        RESOLVE_RQ(o_rq_tree, "tree")
 #undef RESOLVE_RQ
-        if (ok) {
-            PyObject *tv0 = slot_get(rq0, c->o_rq_tree);
-            if (tv0 == NULL ||
-                (c->o_tv_size = resolve_slot(Py_TYPE(tv0), "size")) < 0) {
-                PyErr_Clear();
-                ok = 0;
-            }
-        }
-        if (ok) {
-            c->rq_type = rt;
-            c->rq_fast = 1;
-        }
     }
     /* Policy gate: a missing key fails construction (KeyError). */
     {
@@ -2326,16 +2224,15 @@ cycle_dealloc(CycleObject *c)
 static PyObject *
 cycle_counters(CycleObject *c, PyObject *Py_UNUSED(ignored))
 {
-    return Py_BuildValue("{s:L,s:L,s:i}", "fast_events", c->fast_events,
-                         "bailouts", c->bailouts, "rq_ops", c->rq_fast);
+    return Py_BuildValue("{s:L,s:L}", "fast_events", c->fast_events,
+                         "bailouts", c->bailouts);
 }
 
 static PyMethodDef cycle_methods[] = {
     {"cpu_event", (PyCFunction)cycle_cpu_event, METH_VARARGS,
      "cpu_event(cpu_id, gen): the accelerated per-CPU event callback."},
     {"counters", (PyCFunction)cycle_counters, METH_NOARGS,
-     "C-path coverage counters: {'fast_events': n, 'bailouts': n, "
-     "'rq_ops': 0/1}."},
+     "C-path coverage counters: {'fast_events': n, 'bailouts': n}."},
     {NULL, NULL, 0, NULL},
 };
 

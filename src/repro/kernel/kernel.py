@@ -34,7 +34,7 @@ from ..config import ExecMode, SimConfig
 from ..core.bwd import BwdMonitor
 from ..core.virtual_blocking import VirtualBlockingPolicy
 from ..errors import DeadlockError, ProgramError, SimulationError
-from ..fastpath import make_engine, make_runqueue
+from ..fastpath import make_engine
 from ..hw.memmodel import MemoryModel
 from ..hw.ple import PauseLoopExiting
 from ..hw.topology import Topology
@@ -89,10 +89,7 @@ class CpuState:
     def __init__(self, cpu_id: int, info) -> None:
         self.id = cpu_id
         self.info = info
-        # Backend-selected runqueue: the reference rbtree CfsRunqueue
-        # (pure) or the heap-backed FastCfsRunqueue (fast) — identical
-        # pick order either way (see repro.fastpath).
-        self.rq = make_runqueue(cpu_id)
+        self.rq = CfsRunqueue(cpu_id)
         self.rq_lock = SimLockTimeline(f"rq-{cpu_id}")
         self.sib: "CpuState | None" = None  # SMT sibling, wired by Kernel
         self.gen = 0
@@ -1316,7 +1313,7 @@ class Kernel:
             rq = cpus[prev].rq
             # rq.nr_running, spelled out: the property call is measurable
             # in these per-wake loops over every online CPU.
-            prev_load = rq.tree.size + (1 if rq.curr is not None else 0)
+            prev_load = rq.nr_queued + (1 if rq.curr is not None else 0)
             if prev == vb_home:
                 prev_load -= 1
             if prev_load == 0:
@@ -1325,7 +1322,7 @@ class Kernel:
                 min_load = None
                 for c in self._online:
                     rq = cpus[c].rq
-                    load = rq.tree.size + (1 if rq.curr is not None else 0)
+                    load = rq.nr_queued + (1 if rq.curr is not None else 0)
                     if min_load is None or load < min_load:
                         min_load = load
                 if prev_load <= min_load + 1:
@@ -1334,7 +1331,7 @@ class Kernel:
         best_load = None
         for cpu_id in self._online:
             rq = cpus[cpu_id].rq
-            load = rq.tree.size + (1 if rq.curr is not None else 0)
+            load = rq.nr_queued + (1 if rq.curr is not None else 0)
             if cpu_id == vb_home:
                 load -= 1
             if best_load is None or load < best_load:
@@ -1654,7 +1651,7 @@ class Kernel:
             # modulo pinning/cache-hotness, which _migratable re-filters.
             # (nr_running/nr_queued_runnable spelled out: this loop
             # visits every online CPU on each newly-idle balance.)
-            size = rq.tree.size
+            size = rq.nr_queued
             load = size + (1 if rq.curr is not None else 0)
             if load > busiest_load and size - rq.nr_blocked > 0:
                 busiest = other

@@ -9,7 +9,6 @@ import pytest
 
 from repro.chaos.invariants import InvariantChecker
 from repro.config import vanilla_config
-from repro.fastpath import current_backend
 from repro.errors import InvariantViolation
 from repro.kernel import Kernel
 from repro.kernel.task import TaskState
@@ -44,7 +43,7 @@ def busy_kernel():
 def queued_runnable(k):
     """Some queued, runnable (non-VB) task and its CPU."""
     for cpu in k.cpus:
-        for t in cpu.rq.tree.values():
+        for t in cpu.rq.tasks():
             if t.state is TaskState.RUNNABLE:
                 return cpu, t
     raise AssertionError("no queued runnable task in busy kernel")
@@ -78,10 +77,14 @@ def blocked_kernel():
 # ---------------------------------------------------------------------
 def test_task_duplicate_detected():
     k, chk = busy_kernel()
-    t = k.cpus[0].rq.curr
-    assert t is not None
-    # The same task surfaces on cpu1's tree while being cpu0's current.
-    k.cpus[1].rq.tree.insert((t.vruntime, 1 << 30), t)
+    cpu, t = queued_runnable(k)
+    other = k.cpus[1 - cpu.id].rq
+    # Its live entry (the same key object as its rq_key) also surfaces
+    # on the other CPU's heap, so the task is queued on both.  Appended,
+    # not heappushed: the other queue may hold an entry with equal
+    # (k0, seq), and a tie would compare the Task objects.
+    key = t.rq_key
+    other._heap.append((key[0], key[1], key, t))
     expect(chk, "task-duplicate")
 
 
@@ -110,12 +113,10 @@ def test_vb_sentinel_running_detected():
 def test_rq_key_detected():
     k, chk = busy_kernel()
     _, t = queued_runnable(k)
-    t.rq_key = (t.rq_key[0], t.rq_key[1] + 1)  # disagrees with the tree
-    # The pure rbtree still lists the task under its old key, so the
-    # checker reports the key mismatch; the fast heap's membership
-    # token IS the rq_key object, so the same corruption drops the task
-    # off the queue entirely and surfaces as a loss instead.
-    expect(chk, "task-lost" if current_backend() == "fast" else "rq-key")
+    t.rq_key = (t.rq_key[0], t.rq_key[1] + 1)  # disagrees with its entry
+    # The heap's membership token IS the rq_key object, so the stale key
+    # drops the task off the queue entirely and surfaces as a loss.
+    expect(chk, "task-lost")
 
 
 def test_rq_key_running_detected():

@@ -8,18 +8,19 @@ docs/performance.md:
   callbacks) through the pure wheel and the compiled C core, asserting
   identical event order, clock, pending count, and peek time at every
   step;
-* runqueue parity — the heap runqueue must reproduce the rbtree's pick
-  order op for op;
+* runqueue model check — the one runqueue both backends drive must
+  match a plain sorted-list model op for op;
 * kernel trace parity — the same scenario run under ``pure`` and
   ``fast`` must produce byte-identical trace streams, including a
   32-CPU futex-heavy run that drives the balancer through CPU hot-plug.
 
-When the C core cannot load, ``fast`` runs the ``pure`` classes; the
+When the C core cannot load, ``fast`` runs the ``pure`` engine; the
 fallback test below pins that down.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 
 import pytest
@@ -35,8 +36,6 @@ from repro.fastpath import (
     engine_class,
     fastcore_available,
     make_engine,
-    make_runqueue,
-    runqueue_class,
     set_backend,
 )
 from repro.fastpath.parity import (
@@ -44,9 +43,8 @@ from repro.fastpath.parity import (
     engine_parity,
     kernel_trace_parity,
 )
-from repro.fastpath.runqueue import FastCfsRunqueue
 from repro.kernel.kernel import Kernel
-from repro.kernel.runqueue import CfsRunqueue
+from repro.kernel.runqueue import VB_SENTINEL, CfsRunqueue
 from repro.sim.engine import Engine
 from repro.kernel.task import Task, TaskState
 from repro.prog.actions import (
@@ -136,7 +134,7 @@ def test_engine_compacts_under_cancel_storm(name, factory):
 
 
 # ---------------------------------------------------------------------------
-# Runqueue parity (heap + tombstones vs red-black tree)
+# Runqueue model check (the one CfsRunqueue both backends drive)
 # ---------------------------------------------------------------------------
 
 def _dummy_program():
@@ -144,10 +142,72 @@ def _dummy_program():
         yield Yield()
 
 
-def _mirrored_tasks(n):
-    pure = [Task(f"t{i}", _dummy_program()) for i in range(n)]
-    fast = [Task(f"t{i}", _dummy_program()) for i in range(n)]
-    return pure, fast
+class _SortedListModel:
+    """The runqueue's contract restated over a plain sorted list of
+    ``((k0, seq), name)`` entries: keys as the queue builds them, pick
+    order = list order, ``min_vruntime`` as CFS advances it."""
+
+    def __init__(self, tasks):
+        self.by_name = {t.name: t for t in tasks}
+        self.entries = []
+        self.seq = 0
+        self.curr = None
+        self.min_vruntime = 0
+
+    def enqueue(self, t):
+        self.seq += 1
+        k0 = VB_SENTINEL + self.seq if t.thread_state else t.vruntime
+        bisect.insort(self.entries, ((k0, self.seq), t.name))
+
+    def dequeue(self, t):
+        self.entries = [e for e in self.entries if e[1] != t.name]
+
+    def queued(self, name):
+        return any(e[1] == name for e in self.entries)
+
+    def peek(self):
+        return self.entries[0][1] if self.entries else None
+
+    def pick(self):
+        name = self.entries.pop(0)[1] if self.entries else None
+        self.curr = self.by_name[name] if name else None
+        return name
+
+    def update_min(self):
+        curr = self.curr
+        vr = curr.vruntime if curr and curr.thread_state == 0 else None
+        if self.entries:
+            k0 = self.entries[0][0][0]
+            if k0 < VB_SENTINEL and (vr is None or k0 < vr):
+                vr = k0
+        if vr is not None and vr > self.min_vruntime:
+            self.min_vruntime = vr
+
+    def snap(self):
+        names = [n for _k, n in self.entries]
+        blocked = sum(1 for k, _n in self.entries if k[0] >= VB_SENTINEL)
+        curr = self.curr
+        sched = len(names) - blocked + (
+            1 if curr is not None and curr.thread_state == 0 else 0)
+        steal = [n for n in names
+                 if self.by_name[n].thread_state == 0
+                 and self.by_name[n].state is TaskState.RUNNABLE]
+        return (len(names), len(names) + (curr is not None),
+                len(names) - blocked, sched, blocked, self.min_vruntime,
+                names, steal)
+
+
+def _rq_snap(rq):
+    return (
+        rq.nr_queued,
+        rq.nr_running,
+        rq.nr_queued_runnable,
+        rq.nr_schedulable(),
+        rq.nr_blocked,
+        rq.min_vruntime,
+        [t.name for t in rq.tasks()],
+        [t.name for t in rq.steal_candidates()],
+    )
 
 
 _rq_op = st.one_of(
@@ -172,76 +232,45 @@ _rq_op = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_rq_op, min_size=1, max_size=80))
 def test_runqueue_parity_randomized_ops(ops):
-    pure_rq, fast_rq = CfsRunqueue(0), FastCfsRunqueue(0)
-    pure_tasks, fast_tasks = _mirrored_tasks(16)
-
-    def snap(rq, tasks):
-        return (
-            rq.nr_queued,
-            rq.nr_running,
-            rq.nr_queued_runnable,
-            rq.nr_schedulable(),
-            rq.nr_blocked,
-            rq.min_vruntime,
-            [t.name for t in rq.tasks()],
-            [t.name for t in rq.steal_candidates()],
-            [t.vruntime for t in tasks],
-        )
+    rq = CfsRunqueue(0)
+    tasks = [Task(f"t{i}", _dummy_program()) for i in range(16)]
+    model = _SortedListModel(tasks)
 
     for op in ops:
         kind = op[0]
         if kind == "enqueue":
-            i, vr, blocked = op[1], op[2], op[3]
-            for tasks, rq in ((pure_tasks, pure_rq), (fast_tasks, fast_rq)):
-                t = tasks[i]
-                if t.rq_key is not None or rq.curr is t:
-                    continue
-                t.vruntime = vr
-                t.thread_state = 1 if blocked else 0
+            t = tasks[op[1]]
+            if t.rq_key is None and rq.curr is not t:
+                t.vruntime = op[2]
+                t.thread_state = 1 if op[3] else 0
                 t.state = TaskState.RUNNABLE
                 rq.enqueue(t)
+                model.enqueue(t)
         elif kind == "dequeue":
-            i = op[1]
-            for tasks, rq in ((pure_tasks, pure_rq), (fast_tasks, fast_rq)):
-                t = tasks[i]
-                if t.rq_key is not None:
-                    rq.dequeue(t)
+            t = tasks[op[1]]
+            assert (t.rq_key is not None) == model.queued(t.name)
+            if t.rq_key is not None:
+                rq.dequeue(t)
+                model.dequeue(t)
         elif kind == "pick":
-            a = pure_rq.pick_next()
-            b = fast_rq.pick_next()
-            assert (a and a.name) == (b and b.name)
-            # Put any previous current back out of the way.
-            pure_rq.curr, fast_rq.curr = a, b
+            got = rq.pick_next()
+            assert (got and got.name) == model.pick()
+            rq.curr = got  # the previous current simply leaves
         elif kind == "peek":
-            a = pure_rq.peek_next()
-            b = fast_rq.peek_next()
-            assert (a and a.name) == (b and b.name)
+            got = rq.peek_next()
+            assert (got and got.name) == model.peek()
         elif kind == "update_min":
-            pure_rq.update_min_vruntime()
-            fast_rq.update_min_vruntime()
+            rq.update_min_vruntime()
+            model.update_min()
         elif kind == "place":
-            i, bonus = op[1], op[2]
-            pure_rq.place_vruntime(pure_tasks[i], bonus)
-            fast_rq.place_vruntime(fast_tasks[i], bonus)
-        assert snap(pure_rq, pure_tasks) == snap(fast_rq, fast_tasks), op
+            t = tasks[op[1]]
+            want = max(t.vruntime, model.min_vruntime - op[2])
+            rq.place_vruntime(t, op[2])
+            assert t.vruntime == want
+        assert _rq_snap(rq) == model.snap(), op
+        rq.validate()
 
-    assert pure_rq.recount_blocked() == fast_rq.recount_blocked()
-    fast_rq.tree.validate()
-
-
-def test_runqueue_tree_view_matches():
-    rq = FastCfsRunqueue(3)
-    _pure, tasks = _mirrored_tasks(6)
-    for i, t in enumerate(tasks):
-        t.vruntime = (i * 7) % 4
-        rq.enqueue(t)
-    rq.dequeue(tasks[2])
-    items = list(rq.tree.items())
-    assert [t.name for _k, t in items] == [t.name for t in rq.tasks()]
-    assert sorted(k for k, _t in items) == [k for k, _t in items]
-    assert rq.tree.min_item()[1] is items[0][1]
-    assert rq.tree.size == 5
-    rq.tree.validate()
+    assert rq.recount_blocked() == rq.nr_blocked
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +386,8 @@ def test_wide_machine_balancer_parity(name):
 
 @pytest.mark.parametrize("cores", [4, 32])
 def test_cycle_keeps_runqueue_ops(cores):
-    # A runqueue slot the C cycle cannot resolve silently turns its fast
-    # runqueue ops off; counters() reports that as rq_ops == 0.
+    # The C cycle's runqueue ops need every CfsRunqueue slot it reads;
+    # a slot that fails to resolve would leave the kernel without it.
     if not fastcore_available():  # pragma: no cover - no C compiler
         pytest.skip("C core unavailable")
     prev = current_backend()
@@ -368,7 +397,6 @@ def test_cycle_keeps_runqueue_ops(cores):
     finally:
         set_backend(prev)
     assert k._cycle is not None
-    assert k._cycle.counters()["rq_ops"] == 1
     k.shutdown()
 
 
@@ -390,6 +418,35 @@ def test_cycle_requires_policy_gate():
     k.shutdown()
 
 
+def test_cycle_requires_runqueue_slots():
+    # A runqueue without a slot the C ops read fails construction
+    # instead of falling back to per-call Python methods.
+    if not fastcore_available():  # pragma: no cover - no C compiler
+        pytest.skip("C core unavailable")
+    from repro.kernel.kernel import _cycle_support
+
+    class NoQueuedCount:
+        __slots__ = tuple(s for s in CfsRunqueue.__slots__
+                          if s != "nr_queued")
+
+    prev = current_backend()
+    try:
+        set_backend("fast")
+        k = Kernel(vanilla_config(cores=2, seed=1))
+    finally:
+        set_backend(prev)
+    support = dict(_cycle_support(), POLICY_IS_CFS=True)
+    build.load_fastcore().KernelCycle(k, support)  # the real queue resolves
+    real = k.cpus[0].rq
+    k.cpus[0].rq = NoQueuedCount()
+    try:
+        with pytest.raises(AttributeError, match="nr_queued"):
+            build.load_fastcore().KernelCycle(k, support)
+    finally:
+        k.cpus[0].rq = real
+    k.shutdown()
+
+
 # ---------------------------------------------------------------------------
 # Backend selection plumbing
 # ---------------------------------------------------------------------------
@@ -403,12 +460,16 @@ def test_backend_selection_roundtrip():
         assert info["backend"] == "fast" and "fastcore" in info
         if fastcore_available():
             assert engine_class().__name__ == "FastEngine"
-            assert isinstance(make_runqueue(0), FastCfsRunqueue)
+        k = Kernel(vanilla_config(cores=1, seed=1))
+        assert type(k.cpus[0].rq) is CfsRunqueue
+        k.shutdown()
         set_backend("pure")
         assert backend_info() == {"backend": "pure"}
         assert engine_class().__name__ == "Engine"
-        assert isinstance(make_runqueue(0), CfsRunqueue)
         assert type(make_engine()).__name__ == "Engine"
+        k = Kernel(vanilla_config(cores=1, seed=1))
+        assert type(k.cpus[0].rq) is CfsRunqueue
+        k.shutdown()
     finally:
         set_backend(prev)
     with pytest.raises(ValueError):
@@ -419,19 +480,20 @@ def test_backend_selection_roundtrip():
 def test_kernel_uses_backend_engine_and_runqueue():
     prev = current_backend()
     try:
-        set_backend("fast")
-        k = Kernel(vanilla_config(cores=2, seed=1))
-        if fastcore_available():
-            assert type(k.engine).__name__ == "FastEngine"
-            assert isinstance(k.cpus[0].rq, FastCfsRunqueue)
-        k.shutdown()
+        for backend in BACKENDS:
+            set_backend(backend)
+            k = Kernel(vanilla_config(cores=2, seed=1))
+            if backend == "fast" and fastcore_available():
+                assert type(k.engine).__name__ == "FastEngine"
+            assert all(type(c.rq) is CfsRunqueue for c in k.cpus)
+            k.shutdown()
     finally:
         set_backend(prev)
 
 
 def test_fast_backend_without_c_core_runs_pure_classes(monkeypatch):
-    """If the C core cannot load, ``fast`` is the pure engine and
-    runqueue: same classes, same results, and the report says so."""
+    """If the C core cannot load, ``fast`` is the pure engine with the
+    one runqueue: same classes, same results, and the report says so."""
     def config():
         return vanilla_config(cores=2, seed=2021)
 
@@ -442,7 +504,6 @@ def test_fast_backend_without_c_core_runs_pure_classes(monkeypatch):
         monkeypatch.setattr(build, "load_fastcore", lambda: None)
         set_backend("fast")
         assert engine_class() is Engine
-        assert runqueue_class() is CfsRunqueue
         assert backend_info() == {"backend": "fast", "fastcore": False}
         k = Kernel(config())
         assert type(k.engine) is Engine and k._cycle is None

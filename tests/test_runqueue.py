@@ -177,3 +177,20 @@ def test_update_min_vruntime_ignores_sentinel_keys():
     rq.enqueue(runnable)
     rq.update_min_vruntime()
     assert rq.min_vruntime == 700
+
+
+def test_dequeue_tombstones_compact_without_changing_order():
+    rq = CfsRunqueue(0)
+    tasks = [make_task(f"t{i}", (i * 37) % 101) for i in range(200)]
+    for t in tasks:
+        rq.enqueue(t)
+    gone = tasks[::4] + tasks[1::4] + tasks[2::4]
+    for t in gone:
+        rq.dequeue(t)
+    rq.validate()
+    # Dead entries outnumbered live ones, so the heap was rebuilt.
+    assert len(rq._heap) < len(tasks)
+    kept = sorted(tasks[3::4], key=lambda t: t.rq_key)
+    assert [rq.pick_next() for _ in kept] == kept
+    assert rq.pick_next() is None and rq.nr_queued == 0
+    rq.validate()
