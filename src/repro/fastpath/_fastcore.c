@@ -693,13 +693,18 @@ static PyTypeObject EngineType = {
 /* The simulator's inner loop fires one engine event per scheduling   */
 /* milestone and walks sync-accounting -> action completion ->        */
 /* generator resume -> dispatch, all over plain Python objects.  This */
-/* object replays that exact control flow in C for the common cases   */
-/* (compute completion, yield, slice expiry) and calls the kernel's   */
-/* own Python methods for everything rare (tracing on, parks, wakes,  */
-/* idle pulls, spin rechecks), so behavior is defined by kernel.py    */
-/* and this is purely an execution detail.  Task state lives in the   */
-/* instance dict exactly as Python left it; CpuState/runqueue slots   */
-/* are read through their member-descriptor offsets.                  */
+/* object replays that exact control flow in C, and with it the futex */
+/* chain that virtual blocking exists to shorten: a blocking action   */
+/* completes -> park -> reschedule (or all-blocked poll) -> wake      */
+/* completion -> enqueue -> wakeup preemption -> dispatch -> continue. */
+/* Each C function names the Kernel method it mirrors.  It calls the  */
+/* kernel's own Python methods for what stays rare: tracing on, a     */
+/* non-CFS policy, offline CPUs, newly-idle pulls, spin rechecks,     */
+/* task exit and SleepNs/Yield-subclass completions.  Behavior is     */
+/* defined by kernel.py and this is purely an execution detail.  Task */
+/* state lives in the instance dict exactly as Python left it;        */
+/* CpuState/runqueue slots are read through their member-descriptor   */
+/* offsets.                                                           */
 /* ------------------------------------------------------------------ */
 
 /* Interned attribute names (shared across all cycles). */
@@ -716,7 +721,14 @@ static PyTypeObject EngineType = {
     X(negative_latency_samples) \
     X(ns) X(cancelled) X(cancel) \
     X(context_switch_ns) X(sched_latency_ns) X(min_granularity_ns) \
-    X(regular_slice_ns)
+    X(regular_slice_ns) X(wake_pending) X(saved_vruntime) X(vb_cpu) \
+    X(pinned_cpu) X(sync_wake) X(profile) X(migration_weight) \
+    X(nr_wakeups) X(nr_migrations_in_node) X(nr_migrations_cross_node) \
+    X(migrations_in_node) X(migrations_cross_node) X(wake_migrations) \
+    X(mode_since) X(random) X(same_node) X(dequeue) \
+    X(immediate_schedule) X(all_blocked_poll_ns) X(all_blocked_polls) \
+    X(wake_affinity_bias) X(migration_cost_in_node_ns) \
+    X(migration_cost_cross_node_ns) X(rq_depth_integral_ns)
 
 #define CYCLE_USTRINGS(X) \
     X(schedstats, "_schedstats") X(psi_pending, "_psi_pending") \
@@ -725,7 +737,14 @@ static PyTypeObject EngineType = {
     X(m_continue, "_continue") X(m_schedule, "_schedule") \
     X(m_exit_task, "_exit_task") \
     X(m_start_action_generic, "_start_action_generic") \
-    X(m_psi_update, "_psi_update")
+    X(m_psi_update, "_psi_update") \
+    X(m_finish_wake_vb, "_finish_wake_vb") \
+    X(m_finish_wake_vb_placed, "_finish_wake_vb_placed") \
+    X(m_finish_wake_vanilla, "_finish_wake_vanilla") \
+    X(rqd_at, "_rqd_at") X(rqd_total, "_rqd_total") \
+    X(h_block, "_h_block") X(online_list, "_online") \
+    X(rng_sched, "_rng_sched") X(sleeper_credit, "_sleeper_credit_ns") \
+    X(wakeup_gran, "_wakeup_gran_ns")
 
 #define DECL_STR(n) static PyObject *s_##n = NULL;
 #define DECL_USTR(n, lit) static PyObject *s_##n = NULL;
@@ -754,16 +773,38 @@ cycle_init_strings(void)
     return 0;
 }
 
+/* Why an event went back to Python, in counters()["bailouts_by"]. */
+enum {
+    BAIL_TRACE,             /* tracing on: the Python path emits records */
+    BAIL_POLICY,            /* non-CFS policy: only CFS hooks replay here */
+    BAIL_SCHEDULE_OFFLINE,  /* _schedule on an offline CPU */
+    BAIL_SCHEDULE_IDLE_PULL, /* _schedule on an empty queue (_idle_pull) */
+    BAIL_CONTINUE_SPIN,     /* _continue on a spinning task (recheck) */
+    BAIL_EXIT,              /* the program returned or raised */
+    BAIL_COMPLETE_SLEEP,    /* SleepNs completion (timer-wake park) */
+    BAIL_COMPLETE_SUBCLASS, /* completion of a Yield/SleepNs subclass */
+    BAIL_N
+};
+
+static const char *const bail_names[BAIL_N] = {
+    "trace", "policy", "schedule-offline", "schedule-idle-pull",
+    "continue-spin", "exit", "complete-sleep", "complete-subclass",
+};
+
 typedef struct {
     PyObject_HEAD
     PyObject *kernel;          /* strong; the Kernel facade */
     EngineObject *engine;      /* strong; type-checked FastEngine */
     PyObject *cpus;            /* strong; kernel.cpus list */
     PyObject *sched;           /* strong; config.scheduler */
+    PyObject *vbc;             /* strong; config.vb */
+    PyObject *policy;          /* strong; kernel.policy (CfsPolicy) */
+    PyObject *topology;        /* strong; kernel.topology */
+    PyObject *vb_policy;       /* strong; kernel.vb_policy */
     /* Singletons handed over by kernel.py (enum members, classes). */
     PyObject *st_running, *st_runnable, *st_sleeping, *st_vblocked;
-    PyObject *mode_compute;
-    PyObject *cls_compute, *cls_yield;
+    PyObject *mode_compute, *mode_spin;
+    PyObject *cls_compute, *cls_yield, *cls_sleep;
     PyObject *plain_complete;  /* frozenset of action classes */
     PyObject *action_dispatch; /* dict class -> unbound handler */
     PyObject *program_error;   /* exception class */
@@ -771,15 +812,21 @@ typedef struct {
     /* CpuState slot offsets (member descriptors). */
     Py_ssize_t o_id, o_rq, o_sib, o_gen, o_event, o_run_started,
         o_run_factor, o_slice_end, o_busy_ns, o_sched_ns, o_stall_ns,
-        o_last_task, o_online, o_nr_switches;
+        o_last_task, o_online, o_nr_switches, o_poll_idle_since, o_poll_ns;
     /* CfsRunqueue slot offsets.  The C runqueue ops mutate the same
      * heap list and counters the Python methods use, so both sides
      * interleave freely. */
     Py_ssize_t o_rq_curr, o_rq_heap, o_rq_nstale, o_rq_seq, o_rq_nqueued,
         o_rq_nblocked, o_rq_nenq, o_rq_minvr;
     long long vb_sentinel;
-    long long fast_events;     /* events fully handled in C */
-    long long bailouts;        /* events handed back to Python */
+    long long compact_min;     /* CfsRunqueue._COMPACT_MIN */
+    /* Each engine event the cycle owns (per-CPU events and the three
+     * wake completions) counts once: fast, or bailed under the first
+     * reason it handed work back to Python for. */
+    long long fast_events;
+    long long bailouts;
+    long long bailouts_by[BAIL_N];
+    int event_bail;            /* current event's first reason, or -1 */
     int policy_is_cfs;         /* 0: non-CFS policy, bail every event */
 } CycleObject;
 
@@ -950,14 +997,18 @@ kflag(CycleObject *c, PyObject *name)
     return aflag(c->kernel, name);
 }
 
-/* Bail out: run kernel.<name>(...) and swallow the (None) result. */
+/* Bail out: run kernel.<name>(...) and swallow the (None) result.  The
+ * current event is charged to `reason` unless it already bailed. */
 static int
-bail_call(CycleObject *c, PyObject *name, PyObject *a1, PyObject *a2)
+bail_call(CycleObject *c, int reason, PyObject *name, PyObject *a1,
+          PyObject *a2)
 {
     PyObject *m = PyObject_GetAttr(c->kernel, name);
     PyObject *r;
     if (m == NULL)
         return -1;
+    if (c->event_bail < 0)
+        c->event_bail = reason;
     if (a2 != NULL)
         r = PyObject_CallFunctionObjArgs(m, a1, a2, NULL);
     else
@@ -966,7 +1017,51 @@ bail_call(CycleObject *c, PyObject *name, PyObject *a1, PyObject *a2)
     if (r == NULL)
         return -1;
     Py_DECREF(r);
-    c->bailouts += 1;
+    return 0;
+}
+
+/* Open one cycle-owned event; returns the enclosing event's state. */
+static int
+cycle_event_begin(CycleObject *c)
+{
+    int saved = c->event_bail;
+    c->event_bail = -1;
+    return saved;
+}
+
+/* Count the event opened by cycle_event_begin exactly once. */
+static void
+cycle_event_end(CycleObject *c, int saved)
+{
+    if (c->event_bail < 0) {
+        c->fast_events += 1;
+    } else {
+        c->bailouts += 1;
+        c->bailouts_by[c->event_bail] += 1;
+    }
+    c->event_bail = saved;
+}
+
+/* The entry gate of every cycle-owned event: a non-CFS policy or
+ * tracing on hands the whole event to the Python method `name`, which
+ * emits the trace records and calls the policy hooks this cycle skips.
+ * Returns 1 if it did, 0 to go on in C, -1 on error. */
+static int
+cycle_gate(CycleObject *c, PyObject *name, PyObject *a1, PyObject *a2)
+{
+    PyObject *trace;
+    int tr;
+    if (!c->policy_is_cfs)
+        return bail_call(c, BAIL_POLICY, name, a1, a2) < 0 ? -1 : 1;
+    trace = oget(c->kernel, s_trace);
+    if (trace == NULL)
+        return -1;
+    tr = aflag(trace, s_enabled);
+    Py_DECREF(trace);
+    if (tr < 0)
+        return -1;
+    if (tr)
+        return bail_call(c, BAIL_TRACE, name, a1, a2) < 0 ? -1 : 1;
     return 0;
 }
 
@@ -1346,6 +1441,50 @@ rq_update_min_vruntime_c(CycleObject *c, PyObject *rq)
     return 0;
 }
 
+/* CfsRunqueue.dequeue.  A dequeue that would trigger compaction runs
+ * the Python method instead, so the rebuild has one implementation. */
+static int
+rq_dequeue_c(CycleObject *c, PyObject *rq, PyObject *task)
+{
+    PyObject *td, *key, *r;
+    long long k0, size, stale, nb;
+    if ((td = inst_dict(task)) == NULL)
+        return -1;
+    key = dgetc(td, s_rq_key);
+    if (key == NULL)
+        return -1;
+    if (key == Py_None) { /* mirrors `assert key is not None` */
+        PyErr_SetString(PyExc_AssertionError, "task not queued");
+        return -1;
+    }
+    if (slot_ll(rq, c->o_rq_nqueued, &size) < 0 ||
+        slot_ll(rq, c->o_rq_nstale, &stale) < 0)
+        return -1;
+    if (!PyTuple_Check(key) || PyTuple_GET_SIZE(key) < 1 ||
+        (stale + 1 > c->compact_min && stale + 1 > size - 1)) {
+        r = PyObject_CallMethodOneArg(rq, s_dequeue, task);
+        if (r == NULL)
+            return -1;
+        Py_DECREF(r);
+        return 0;
+    }
+    k0 = PyLong_AsLongLong(PyTuple_GET_ITEM(key, 0));
+    if (k0 == -1 && PyErr_Occurred())
+        return -1;
+    /* The heap entry keeps `key` alive past this tombstoning store. */
+    if (PyDict_SetItem(td, s_rq_key, Py_None) < 0)
+        return -1;
+    if (k0 >= c->vb_sentinel) {
+        if (slot_ll(rq, c->o_rq_nblocked, &nb) < 0 ||
+            slot_set_ll(rq, c->o_rq_nblocked, nb - 1) < 0)
+            return -1;
+    }
+    if (slot_set_ll(rq, c->o_rq_nqueued, size - 1) < 0 ||
+        slot_set_ll(rq, c->o_rq_nstale, stale + 1) < 0)
+        return -1;
+    return 0;
+}
+
 /* Kernel._put_prev_runnable in C. */
 static int
 cycle_put_prev(CycleObject *c, PyObject *cpu)
@@ -1386,6 +1525,223 @@ fail:
     return -1;
 }
 
+/* kernel._psi_update(now). */
+static int
+psi_update_call(CycleObject *c, long long now)
+{
+    PyObject *nowo = PyLong_FromLongLong(now), *r;
+    if (nowo == NULL)
+        return -1;
+    r = PyObject_CallMethodOneArg(c->kernel, s_m_psi_update, nowo);
+    Py_DECREF(nowo);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* Kernel._psi_transition in C: _psi_update runs only on a predicate
+ * flip. */
+static int
+cycle_psi_transition(CycleObject *c, long long now, long long d_wait,
+                     long long d_run)
+{
+    PyObject *kd = inst_dict(c->kernel);
+    long long w, r, nw, nr;
+    if (kd == NULL || dget_ll(kd, s_psi_waiting, &w) < 0 ||
+        dget_ll(kd, s_psi_running, &r) < 0)
+        return -1;
+    nw = w + d_wait;
+    nr = r + d_run;
+    if (((nw > 0) != (w > 0) || (nr == 0) != (r == 0)) &&
+        psi_update_call(c, now) < 0)
+        return -1;
+    if (dset_ll(kd, s_psi_waiting, nw) < 0 ||
+        dset_ll(kd, s_psi_running, nr) < 0)
+        return -1;
+    return 0;
+}
+
+/* Kernel._psi_flush in C. */
+static int
+cycle_psi_flush(CycleObject *c, long long now)
+{
+    PyObject *kd = inst_dict(c->kernel);
+    int pending;
+    if (kd == NULL)
+        return -1;
+    pending = aflag(c->kernel, s_psi_pending);
+    if (pending <= 0)
+        return pending;
+    if (PyDict_SetItem(kd, s_psi_pending, Py_False) < 0)
+        return -1;
+    return cycle_psi_transition(c, now, 1, -1);
+}
+
+/* Kernel._depth_delta in C.  The integral stays far inside 64 bits
+ * (600 s of simulated time at 1000 queued tasks is 6e14); past them this
+ * raises rather than wrap. */
+static int
+cycle_depth_delta(CycleObject *c, long long now, long long delta)
+{
+    PyObject *kd = inst_dict(c->kernel);
+    long long at, total, integral, prod, sum, dt;
+    if (kd == NULL || dget_ll(kd, s_rqd_at, &at) < 0 ||
+        dget_ll(kd, s_rqd_total, &total) < 0)
+        return -1;
+    dt = now - at;
+    if (dt) {
+        if (dget_ll(kd, s_rq_depth_integral_ns, &integral) < 0)
+            return -1;
+        if (__builtin_mul_overflow(dt, total, &prod) ||
+            __builtin_add_overflow(integral, prod, &sum)) {
+            PyErr_SetString(PyExc_OverflowError,
+                            "runqueue-depth integral exceeds 64 bits");
+            return -1;
+        }
+        if (dset_ll(kd, s_rq_depth_integral_ns, sum) < 0 ||
+            dset_ll(kd, s_rqd_at, now) < 0)
+            return -1;
+    }
+    return dset_ll(kd, s_rqd_total, total + delta);
+}
+
+/* handle.cancel(); with `if_live`, only when not handle.cancelled (as
+ * Kernel._continue's inline cancel reads it). */
+static int
+event_cancel(PyObject *ev, int if_live)
+{
+    PyObject *r;
+    if (Py_TYPE(ev) == &HandleType) { /* idempotent */
+        handle_do_cancel((HandleObject *)ev);
+        return 0;
+    }
+    if (if_live) { /* foreign handle class: go through its Python API */
+        PyObject *cd = PyObject_GetAttr(ev, s_cancelled);
+        int dead;
+        if (cd == NULL)
+            return -1;
+        dead = PyObject_IsTrue(cd);
+        Py_DECREF(cd);
+        if (dead != 0)
+            return dead < 0 ? -1 : 0;
+    }
+    r = PyObject_CallMethodNoArgs(ev, s_cancel);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* Kernel._cancel_cpu_event in C. */
+static int
+cycle_cancel_cpu_event(CycleObject *c, PyObject *cpu)
+{
+    PyObject *ev;
+    long long gen;
+    int r;
+    if (slot_ll(cpu, c->o_gen, &gen) < 0 ||
+        slot_set_ll(cpu, c->o_gen, gen + 1) < 0)
+        return -1;
+    ev = slot_get(cpu, c->o_event);
+    if (ev == NULL || ev == Py_None)
+        return 0;
+    Py_INCREF(ev);
+    r = event_cancel(ev, 0);
+    Py_DECREF(ev);
+    if (r < 0)
+        return -1;
+    slot_set(cpu, c->o_event, Py_None);
+    return 0;
+}
+
+/* Kernel._sync_current in C; `td` is the current task's dict. */
+static int
+cycle_sync_current(CycleObject *c, PyObject *cpu, PyObject *td)
+{
+    long long now = c->engine->now;
+    long long start, elapsed, busy, weight;
+    PyObject *ro;
+    if (slot_ll(cpu, c->o_run_started, &start) < 0)
+        return -1;
+    if (now <= start)
+        return 0;
+    elapsed = now - start;
+    if (slot_ll(cpu, c->o_busy_ns, &busy) < 0 ||
+        slot_set_ll(cpu, c->o_busy_ns, busy + elapsed) < 0)
+        return -1;
+    if (dget_ll(td, s_weight, &weight) < 0)
+        return -1;
+    if (dadd_ll(td, s_vruntime,
+                weight == 1024 ? elapsed : elapsed * 1024 / weight) < 0)
+        return -1;
+    ro = dgetc(td, s_action_remaining);
+    if (ro == NULL)
+        return -1;
+    if (ro != Py_None) {
+        long long rem = PyLong_AsLongLong(ro);
+        double rf;
+        if (rem == -1 && PyErr_Occurred())
+            return -1;
+        rf = PyFloat_AsDouble(slot_get(cpu, c->o_run_factor));
+        if (rf == -1.0 && PyErr_Occurred())
+            return -1;
+        rem -= rf == 1.0 ? elapsed : (long long)(elapsed * rf);
+        if (dset_ll(td, s_action_remaining, rem > 0 ? rem : 0) < 0)
+            return -1;
+    }
+    if (account_state_c(c, td, now) < 0)
+        return -1;
+    return slot_set_ll(cpu, c->o_run_started, now);
+}
+
+/* task.set_mode(RunMode.COMPUTE, now). */
+static int
+set_mode_compute(CycleObject *c, PyObject *td, long long now)
+{
+    if (account_state_c(c, td, now) < 0 ||
+        PyDict_SetItem(td, s_mode, c->mode_compute) < 0)
+        return -1;
+    return dset_ll(td, s_mode_since, now);
+}
+
+/* kernel.<hist>.record(value). */
+static int
+hist_record(CycleObject *c, PyObject *hist, long long value)
+{
+    PyObject *h = oget(c->kernel, hist), *v, *r;
+    if (h == NULL)
+        return -1;
+    v = PyLong_FromLongLong(value);
+    if (v == NULL) {
+        Py_DECREF(h);
+        return -1;
+    }
+    r = PyObject_CallMethodOneArg(h, s_record, v);
+    Py_DECREF(h);
+    Py_DECREF(v);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* Clamp a latency probe at 0, counting kernel.negative_latency_samples
+ * (the guard every probe site in kernel.py applies). */
+static int
+clamp_latency(CycleObject *c, long long *lat)
+{
+    if (*lat >= 0)
+        return 0;
+    *lat = 0;
+    {
+        PyObject *kd = inst_dict(c->kernel);
+        if (kd == NULL || dadd_ll(kd, s_negative_latency_samples, 1) < 0)
+            return -1;
+    }
+    return 0;
+}
+
 /* Kernel._calc_slice in C (one rq call + the clamp). */
 static int
 cycle_calc_slice(CycleObject *c, PyObject *rq, long long *out)
@@ -1414,7 +1770,7 @@ cycle_dispatch(CycleObject *c, PyObject *cpu, PyObject *task)
 {
     long long now = c->engine->now;
     long long delay = 0, penalty, nr, lat, gran, reg, sl;
-    PyObject *td, *rq, *sib, *woken, *r, *idobj;
+    PyObject *td, *rq, *sib, *woken, *idobj;
     int ss;
 
     Py_INCREF(task);
@@ -1458,15 +1814,8 @@ cycle_dispatch(CycleObject *c, PyObject *cpu, PyObject *task)
                 dget_ll(kd, s_psi_running, &run) < 0)
                 goto fail;
             if (w == 1 || run == 0) {
-                PyObject *nowo = PyLong_FromLongLong(now);
-                if (nowo == NULL)
+                if (psi_update_call(c, now) < 0)
                     goto fail;
-                r = PyObject_CallMethodOneArg(c->kernel, s_m_psi_update,
-                                              nowo);
-                Py_DECREF(nowo);
-                if (r == NULL)
-                    goto fail;
-                Py_DECREF(r);
                 /* Python rereads psi_running (`+=`) but reuses the
                  * pre-update psi_waiting read — mirror that exactly. */
                 if (dget_ll(kd, s_psi_running, &run) < 0)
@@ -1505,36 +1854,19 @@ cycle_dispatch(CycleObject *c, PyObject *cpu, PyObject *task)
         goto fail;
     if (woken != Py_None) {
         long long wat = PyLong_AsLongLong(woken), lat2;
-        PyObject *h, *lato, *stats, *sd;
+        PyObject *stats, *sd;
         if (wat == -1 && PyErr_Occurred())
             goto fail;
         lat2 = now - wat;
-        if (lat2 < 0) {
-            PyObject *kd = inst_dict(c->kernel);
-            if (kd == NULL ||
-                dadd_ll(kd, s_negative_latency_samples, 1) < 0)
-                goto fail;
-            lat2 = 0;
-        }
+        if (clamp_latency(c, &lat2) < 0)
+            goto fail;
         stats = dgetc(td, s_stats);
         if (stats == NULL || (sd = inst_dict(stats)) == NULL)
             goto fail;
         if (dadd_ll(sd, s_wakeup_latency_ns, lat2) < 0)
             goto fail;
-        h = oget(c->kernel, s_h_wakeup);
-        if (h == NULL)
+        if (hist_record(c, s_h_wakeup, lat2) < 0)
             goto fail;
-        lato = PyLong_FromLongLong(lat2);
-        if (lato == NULL) {
-            Py_DECREF(h);
-            goto fail;
-        }
-        r = PyObject_CallMethodOneArg(h, s_record, lato);
-        Py_DECREF(h);
-        Py_DECREF(lato);
-        if (r == NULL)
-            goto fail;
-        Py_DECREF(r);
         if (PyDict_SetItem(td, s_woken_at, Py_None) < 0)
             goto fail;
     }
@@ -1588,8 +1920,9 @@ fail:
     return -1;
 }
 
-/* Kernel._schedule in C: the head-is-runnable fast case; everything
- * else (idle pull, all-blocked poll, offline) bails to Python. */
+/* Kernel._schedule in C: dispatch the runnable head, or poll idle when
+ * every queued task is virtually blocked.  An offline CPU and an empty
+ * queue (the newly-idle pull) bail to Python. */
 static int
 cycle_schedule(CycleObject *c, PyObject *cpu)
 {
@@ -1598,12 +1931,13 @@ cycle_schedule(CycleObject *c, PyObject *cpu)
     PyObject *head, *hd, *ts, *task;
     int r;
     if (online == NULL || PyObject_IsTrue(online) != 1)
-        return bail_call(c, s_m_schedule, cpu, NULL);
+        return bail_call(c, BAIL_SCHEDULE_OFFLINE, s_m_schedule, cpu, NULL);
     head = rq_peek_next_c(c, rq); /* borrowed */
     if (head == NULL)
         return -1;
     if (head == Py_None)
-        return bail_call(c, s_m_schedule, cpu, NULL);
+        return bail_call(c, BAIL_SCHEDULE_IDLE_PULL, s_m_schedule, cpu,
+                         NULL);
     hd = inst_dict(head);
     if (hd == NULL)
         return -1;
@@ -1613,8 +1947,24 @@ cycle_schedule(CycleObject *c, PyObject *cpu)
     r = PyObject_IsTrue(ts);
     if (r < 0)
         return -1;
-    if (r)
-        return bail_call(c, s_m_schedule, cpu, NULL);
+    if (r) { /* all-blocked poll: the wake path charges the poll latency */
+        long long now = c->engine->now;
+        PyObject *vs, *vd;
+        if (cycle_psi_flush(c, now) < 0)
+            return -1;
+        vs = oget(c->vb_policy, s_stats);
+        if (vs == NULL)
+            return -1;
+        vd = inst_dict(vs);
+        r = vd == NULL ? -1 : dadd_ll(vd, s_all_blocked_polls, 1);
+        Py_DECREF(vs);
+        if (r < 0)
+            return -1;
+        if (slot_get(cpu, c->o_poll_idle_since) == Py_None &&
+            slot_set_ll(cpu, c->o_poll_idle_since, now) < 0)
+            return -1;
+        return cycle_cancel_cpu_event(c, cpu);
+    }
     task = rq_pick_next_c(c, rq);
     if (task == NULL)
         return -1;
@@ -1624,9 +1974,57 @@ cycle_schedule(CycleObject *c, PyObject *cpu)
     return r;
 }
 
+/* Kernel._park in C (trace off): `vb` re-keys the task at the tail of
+ * its own runqueue, otherwise it sleeps off every queue. */
+static int
+cycle_park(CycleObject *c, PyObject *cpu, PyObject *task, PyObject *td,
+           int vb)
+{
+    long long now = c->engine->now;
+    PyObject *rq = slot_get(cpu, c->o_rq);
+    PyObject *stats = dgetc(td, s_stats), *sd;
+    int ss;
+    if (stats == NULL || (sd = inst_dict(stats)) == NULL)
+        return -1;
+    if (dadd_ll(sd, s_nr_voluntary, 1) < 0 ||
+        dadd_ll(sd, s_nr_switches, 1) < 0)
+        return -1;
+    ss = kflag(c, s_schedstats);
+    if (ss < 0)
+        return -1;
+    if (ss) { /* VB keeps the task queued: depth unchanged */
+        if (!vb && cycle_depth_delta(c, now, -1) < 0)
+            return -1;
+        if (cycle_psi_transition(c, now, 0, -1) < 0)
+            return -1;
+    }
+    slot_set(rq, c->o_rq_curr, Py_None);
+    slot_set(cpu, c->o_last_task, task);
+    if (vb) {
+        PyObject *vr = dgetc(td, s_vruntime);
+        if (vr == NULL || dset_ll(td, s_thread_state, 1) < 0 ||
+            PyDict_SetItem(td, s_saved_vruntime, vr) < 0)
+            return -1;
+        if (account_state_c(c, td, now) < 0 ||
+            PyDict_SetItem(td, s_state, c->st_vblocked) < 0 ||
+            PyDict_SetItem(td, s_vb_cpu, slot_get(cpu, c->o_id)) < 0)
+            return -1;
+        if (rq_enqueue_c(c, rq, task) < 0) /* tail via the sentinel key */
+            return -1;
+    } else {
+        if (account_state_c(c, td, now) < 0 ||
+            PyDict_SetItem(td, s_state, c->st_sleeping) < 0 ||
+            PyDict_SetItem(td, s_cpu, Py_None) < 0)
+            return -1;
+    }
+    if (rq_update_min_vruntime_c(c, rq) < 0)
+        return -1;
+    return cycle_schedule(c, cpu);
+}
+
 /* Kernel._continue in C: generator resume loop + next-event arming.
- * Wake completions and spins bail to the Python method (safe at any
- * loop boundary: all loop state lives on the task). */
+ * Spins bail to the Python method (safe at any loop boundary: all loop
+ * state lives on the task). */
 static int
 cycle_continue(CycleObject *c, PyObject *cpu)
 {
@@ -1653,24 +2051,35 @@ cycle_continue(CycleObject *c, PyObject *cpu)
         truthy = PyObject_IsTrue(wc);
         if (truthy < 0)
             goto fail;
-        if (truthy) { /* rare: resolve the wake in Python */
-            Py_DECREF(task);
-            return bail_call(c, s_m_continue, cpu, NULL);
+        if (truthy) { /* a completed wake: resume the program */
+            PyObject *mode;
+            if (PyDict_SetItem(td, s_wake_completed, Py_False) < 0 ||
+                PyDict_SetItem(td, s_block_kind, Py_None) < 0)
+                goto fail;
+            mode = dgetc(td, s_mode);
+            if (mode == NULL)
+                goto fail;
+            /* Back from a spin-then-park wait: normal execution. */
+            if (mode == c->mode_spin && set_mode_compute(c, td, now) < 0)
+                goto fail;
+        } else {
+            action = dgetc(td, s_action);
+            if (action == NULL)
+                goto fail;
+            if (action != Py_None)
+                break;
         }
-        action = dgetc(td, s_action);
-        if (action == NULL)
-            goto fail;
-        if (action != Py_None)
-            break;
         program = dgetc(td, s_program);
         pres = program ? dgetc(td, s_pending_result) : NULL;
         if (pres == NULL)
             goto fail;
         sr = PyIter_Send(program, pres, &yielded);
         if (sr == PYGEN_RETURN) {
+            int r;
             Py_XDECREF(yielded);
+            r = bail_call(c, BAIL_EXIT, s_m_exit_task, cpu, task);
             Py_DECREF(task);
-            return bail_call(c, s_m_exit_task, cpu, task);
+            return r;
         }
         if (sr == PYGEN_ERROR) {
             PyObject *t, *v, *tb, *nm, *msg, *exc;
@@ -1682,7 +2091,7 @@ cycle_continue(CycleObject *c, PyObject *cpu)
                 PyErr_Restore(t, v, tb);
                 goto fail;
             }
-            if (bail_call(c, s_m_exit_task, cpu, task) < 0) {
+            if (bail_call(c, BAIL_EXIT, s_m_exit_task, cpu, task) < 0) {
                 Py_XDECREF(t);
                 Py_XDECREF(v);
                 Py_XDECREF(tb);
@@ -1754,8 +2163,9 @@ cycle_continue(CycleObject *c, PyObject *cpu)
     if (rem_o == NULL)
         goto fail;
     if (rem_o == Py_None) { /* spinning: recheck logic stays in Python */
+        int r = bail_call(c, BAIL_CONTINUE_SPIN, s_m_continue, cpu, NULL);
         Py_DECREF(task);
-        return bail_call(c, s_m_continue, cpu, NULL);
+        return r;
     }
     rem = PyLong_AsLongLong(rem_o);
     if (rem == -1 && PyErr_Occurred())
@@ -1788,25 +2198,8 @@ cycle_continue(CycleObject *c, PyObject *cpu)
     if (slot_set_ll(cpu, c->o_gen, gen) < 0)
         goto fail;
     ev = slot_get(cpu, c->o_event);
-    if (ev != NULL && ev != Py_None) {
-        if (Py_TYPE(ev) == &HandleType) {
-            if (!((HandleObject *)ev)->cancelled)
-                handle_do_cancel((HandleObject *)ev);
-        } else { /* foreign handle class: go through its Python API */
-            PyObject *cd = PyObject_GetAttr(ev, s_cancelled);
-            int live;
-            if (cd == NULL)
-                goto fail;
-            live = PyObject_IsTrue(cd) == 0;
-            Py_DECREF(cd);
-            if (live) {
-                PyObject *r = PyObject_CallMethodNoArgs(ev, s_cancel);
-                if (r == NULL)
-                    goto fail;
-                Py_DECREF(r);
-            }
-        }
-    }
+    if (ev != NULL && ev != Py_None && event_cancel(ev, 1) < 0)
+        goto fail;
     genobj = PyLong_FromLongLong(gen);
     if (genobj == NULL)
         goto fail;
@@ -1826,90 +2219,670 @@ fail:
     return -1;
 }
 
-/* The engine callback: Kernel._cpu_event in C. */
-static PyObject *
-cycle_cpu_event(CycleObject *c, PyObject *args)
+/* Kernel._check_preempt in C: the CfsPolicy.check_preempt vruntime
+ * gap decides whether the woken task preempts the CPU's current one. */
+static int
+cycle_check_preempt(CycleObject *c, PyObject *cpu, PyObject *woken_td)
 {
-    long long cpu_id, gen, cgen, now, start, slice_end;
-    PyObject *cpu, *rq, *task, *td, *trace, *rem_o;
-    int tr;
+    PyObject *rq = slot_get(cpu, c->o_rq);
+    PyObject *curr = slot_get(rq, c->o_rq_curr), *ctd, *stats, *sd;
+    long long cv, wv, gran;
+    int r = -1;
+    if (curr == NULL || curr == Py_None) {
+        int online = PyObject_IsTrue(slot_get(cpu, c->o_online));
+        if (online <= 0)
+            return online;
+        return cycle_schedule(c, cpu);
+    }
+    Py_INCREF(curr);
+    if ((ctd = inst_dict(curr)) == NULL ||
+        cycle_sync_current(c, cpu, ctd) < 0)
+        goto done;
+    if (dget_ll(ctd, s_vruntime, &cv) < 0 ||
+        dget_ll(woken_td, s_vruntime, &wv) < 0 ||
+        attr_ll(c->policy, s_wakeup_gran, &gran) < 0)
+        goto done;
+    if (cv - wv > gran) {
+        stats = dgetc(ctd, s_stats);
+        if (stats == NULL || (sd = inst_dict(stats)) == NULL ||
+            dadd_ll(sd, s_nr_involuntary, 1) < 0)
+            goto done;
+        if (cycle_cancel_cpu_event(c, cpu) < 0 ||
+            cycle_put_prev(c, cpu) < 0 ||
+            cycle_schedule(c, cpu) < 0)
+            goto done;
+    }
+    r = 0;
+done:
+    Py_DECREF(curr);
+    return r;
+}
 
-    if (!PyArg_ParseTuple(args, "LL", &cpu_id, &gen))
-        return NULL;
-    /* Non-CFS scheduling policy -> the Python path owns the event: this
-     * cycle replays only the CfsPolicy pick/preempt/slice hooks. */
-    if (!c->policy_is_cfs) {
-        if (bail_call(c, s_m_cpu_event, PyTuple_GET_ITEM(args, 0),
-                      PyTuple_GET_ITEM(args, 1)) < 0)
-            return NULL;
-        Py_RETURN_NONE;
+/* ------------------------------------------------------------------ */
+/* Wake completions: Kernel._finish_wake_vb / _vb_placed / _vanilla    */
+/* as futex_wake schedules them (no explicit target).                 */
+/* ------------------------------------------------------------------ */
+
+/* The head every _finish_wake_* shares: a wake racing the pre-park
+ * window (task still RUNNING or RUNNABLE) is flagged for the park to
+ * consume, and a task not in the `parked` state is left alone.  Returns
+ * 1 to go on with the wake, 0 if done, -1 on error. */
+static int
+wake_gate(CycleObject *c, PyObject *td, PyObject *parked)
+{
+    PyObject *st = dgetc(td, s_state);
+    if (st == NULL)
+        return -1;
+    if (st == c->st_running || st == c->st_runnable)
+        return PyDict_SetItem(td, s_wake_pending, Py_True) < 0 ? -1 : 0;
+    return st == parked;
+}
+
+/* CPU load as the wake scans read it: rq.nr_queued + running. */
+static int
+cpu_load(CycleObject *c, PyObject *cpu, long long *out)
+{
+    PyObject *rq = slot_get(cpu, c->o_rq);
+    PyObject *curr;
+    if (slot_ll(rq, c->o_rq_nqueued, out) < 0)
+        return -1;
+    curr = slot_get(rq, c->o_rq_curr);
+    if (curr != NULL && curr != Py_None)
+        *out += 1;
+    return 0;
+}
+
+/* kernel._rng_sched.random(). */
+static int
+rng_random(CycleObject *c, double *out)
+{
+    PyObject *rng = oget(c->kernel, s_rng_sched), *v;
+    if (rng == NULL)
+        return -1;
+    v = PyObject_CallMethodNoArgs(rng, s_random);
+    Py_DECREF(rng);
+    if (v == NULL)
+        return -1;
+    *out = PyFloat_AsDouble(v);
+    Py_DECREF(v);
+    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* int(kernel._rng_sched.integers(0, n)). */
+static int
+rng_integers(CycleObject *c, long long n, long long *out)
+{
+    PyObject *rng = oget(c->kernel, s_rng_sched), *v, *idx;
+    if (rng == NULL)
+        return -1;
+    v = PyObject_CallMethod(rng, "integers", "iL", 0, n);
+    Py_DECREF(rng);
+    if (v == NULL)
+        return -1;
+    idx = PyNumber_Long(v);
+    Py_DECREF(v);
+    if (idx == NULL)
+        return -1;
+    *out = PyLong_AsLongLong(idx);
+    Py_DECREF(idx);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* Kernel._select_wake_cpu in C: the same scalar scans over
+ * kernel._online and the same _rng_sched draws, in the same order. */
+static int
+select_wake_cpu_c(CycleObject *c, PyObject *td, int sync, long long *out)
+{
+    PyObject *pinned, *state, *prev_o, *online, *cpu;
+    long long vb_home = 0, prev = 0, prev_load = 0, best_load = 0, id, load;
+    long long stackbuf[64], *best = stackbuf;
+    Py_ssize_t i, n, nbest = 0;
+    int has_home = 0, prev_ok = 0, rc = -1;
+    double bias, draw;
+
+    pinned = dgetc(td, s_pinned_cpu);
+    if (pinned == NULL)
+        return -1;
+    if (pinned != Py_None) {
+        *out = PyLong_AsLongLong(pinned);
+        return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
     }
-    /* Tracing on -> the Python path owns the event (it emits records
-     * at several points this fast path skips). */
-    trace = oget(c->kernel, s_trace);
-    if (trace == NULL)
-        return NULL;
-    tr = aflag(trace, s_enabled);
-    Py_DECREF(trace);
-    if (tr < 0)
-        return NULL;
-    if (tr) {
-        if (bail_call(c, s_m_cpu_event, PyTuple_GET_ITEM(args, 0),
-                      PyTuple_GET_ITEM(args, 1)) < 0)
-            return NULL;
-        Py_RETURN_NONE;
+    /* A virtually-blocked task still sits on its home runqueue; it does
+     * not count against its own wake placement. */
+    state = dgetc(td, s_state);
+    if (state == NULL)
+        return -1;
+    if (state == c->st_vblocked) {
+        if (dget_ll(td, s_vb_cpu, &vb_home) < 0)
+            return -1;
+        has_home = 1;
     }
+    prev_o = dgetc(td, s_last_cpu);
+    if (prev_o == NULL)
+        return -1;
+    online = oget(c->kernel, s_online_list);
+    if (online == NULL)
+        return -1;
+    if (!PyList_Check(online) || PyList_GET_SIZE(online) == 0) {
+        PyErr_SetString(PyExc_TypeError, "kernel._online: no CPU list");
+        goto done;
+    }
+    n = PyList_GET_SIZE(online);
+    if (prev_o != Py_None) {
+        PyObject *pc;
+        prev = PyLong_AsLongLong(prev_o);
+        if (prev == -1 && PyErr_Occurred())
+            goto done;
+        pc = PyList_GetItem(c->cpus, (Py_ssize_t)prev);
+        if (pc == NULL)
+            goto done;
+        prev_ok = PyObject_IsTrue(slot_get(pc, c->o_online));
+        if (prev_ok < 0)
+            goto done;
+        if (prev_ok) {
+            if (cpu_load(c, pc, &prev_load) < 0)
+                goto done;
+            if (has_home && prev == vb_home)
+                prev_load -= 1;
+            if (prev_load == 0) {
+                *out = prev;
+                rc = 0;
+                goto done;
+            }
+            if (sync) {
+                long long min_load = 0;
+                for (i = 0; i < n; i++) {
+                    id = PyLong_AsLongLong(PyList_GET_ITEM(online, i));
+                    if (id == -1 && PyErr_Occurred())
+                        goto done;
+                    if ((cpu = PyList_GetItem(c->cpus, (Py_ssize_t)id))
+                        == NULL || cpu_load(c, cpu, &load) < 0)
+                        goto done;
+                    if (i == 0 || load < min_load)
+                        min_load = load;
+                }
+                if (prev_load <= min_load + 1) {
+                    *out = prev;
+                    rc = 0;
+                    goto done;
+                }
+            }
+        }
+    }
+    if (n > (Py_ssize_t)(sizeof(stackbuf) / sizeof(stackbuf[0]))) {
+        best = PyMem_Malloc((size_t)n * sizeof(long long));
+        if (best == NULL) {
+            PyErr_NoMemory();
+            goto done;
+        }
+    }
+    for (i = 0; i < n; i++) {
+        id = PyLong_AsLongLong(PyList_GET_ITEM(online, i));
+        if (id == -1 && PyErr_Occurred())
+            goto done;
+        if ((cpu = PyList_GetItem(c->cpus, (Py_ssize_t)id)) == NULL ||
+            cpu_load(c, cpu, &load) < 0)
+            goto done;
+        if (has_home && id == vb_home)
+            load -= 1;
+        if (nbest == 0 || load < best_load) {
+            best_load = load;
+            best[0] = id;
+            nbest = 1;
+        } else if (load == best_load) {
+            best[nbest++] = id;
+        }
+    }
+    {
+        PyObject *bo = oget(c->sched, s_wake_affinity_bias);
+        if (bo == NULL)
+            goto done;
+        bias = PyFloat_AsDouble(bo);
+        Py_DECREF(bo);
+        if (bias == -1.0 && PyErr_Occurred())
+            goto done;
+    }
+    if (best_load >= 1) {
+        /* No idle CPU: wake_affine keeps 1:1 wakeups near their cache
+         * unless the previous CPU is clearly overloaded. */
+        if (prev_ok && prev_load <= best_load + 1) {
+            if (rng_random(c, &draw) < 0)
+                goto done;
+            if (draw < 0.8 + 0.2 * bias) {
+                *out = prev;
+                rc = 0;
+                goto done;
+            }
+        }
+    } else if (nbest > 1 && prev_o != Py_None) {
+        int in_best = 0;
+        for (i = 0; i < nbest; i++)
+            in_best |= best[i] == prev;
+        if (in_best) {
+            if (rng_random(c, &draw) < 0)
+                goto done;
+            if (draw < bias) {
+                *out = prev;
+                rc = 0;
+                goto done;
+            }
+        }
+    }
+    if (nbest == 1) {
+        *out = best[0];
+    } else {
+        long long k;
+        if (rng_integers(c, nbest, &k) < 0)
+            goto done;
+        if (k < 0 || k >= nbest) {
+            PyErr_SetString(PyExc_IndexError, "list index out of range");
+            goto done;
+        }
+        *out = best[k];
+    }
+    rc = 0;
+done:
+    if (best != stackbuf)
+        PyMem_Free(best);
+    Py_DECREF(online);
+    return rc;
+}
+
+/* Kernel._count_migration(task, dest, wake=True) in C.  The refill
+ * penalty is `int(cost * weight)` in Python number ops, so it rounds and
+ * truncates exactly as the method does. */
+static int
+count_migration_c(CycleObject *c, PyObject *td, long long dest)
+{
+    PyObject *src_o = dgetc(td, s_last_cpu), *profile, *kd, *stats, *sd;
+    PyObject *dest_o = NULL, *weight = NULL, *same_o = NULL, *cost = NULL;
+    PyObject *pen = NULL, *ipen = NULL, *sum = NULL, *cur;
+    long long src;
+    int same, rc = -1;
+    if (src_o == NULL)
+        return -1;
+    if (src_o == Py_None)
+        return 0;
+    src = PyLong_AsLongLong(src_o);
+    if (src == -1 && PyErr_Occurred())
+        return -1;
+    if (src == dest)
+        return 0;
+    if ((profile = dgetc(td, s_profile)) == NULL ||
+        (weight = oget(profile, s_migration_weight)) == NULL ||
+        (dest_o = PyLong_FromLongLong(dest)) == NULL)
+        goto done;
+    same_o = PyObject_CallMethodObjArgs(c->topology, s_same_node, src_o,
+                                        dest_o, NULL);
+    if (same_o == NULL || (same = PyObject_IsTrue(same_o)) < 0)
+        goto done;
+    if ((kd = inst_dict(c->kernel)) == NULL ||
+        (stats = dgetc(td, s_stats)) == NULL ||
+        (sd = inst_dict(stats)) == NULL)
+        goto done;
+    if (dadd_ll(kd, same ? s_migrations_in_node : s_migrations_cross_node,
+                1) < 0 ||
+        dadd_ll(sd, same ? s_nr_migrations_in_node
+                         : s_nr_migrations_cross_node, 1) < 0)
+        goto done;
+    cost = oget(c->sched, same ? s_migration_cost_in_node_ns
+                               : s_migration_cost_cross_node_ns);
+    if (cost == NULL || (pen = PyNumber_Multiply(cost, weight)) == NULL ||
+        (ipen = PyNumber_Long(pen)) == NULL ||
+        (cur = dgetc(td, s_pending_penalty_ns)) == NULL ||
+        (sum = PyNumber_Add(cur, ipen)) == NULL ||
+        PyDict_SetItem(td, s_pending_penalty_ns, sum) < 0)
+        goto done;
+    rc = dadd_ll(kd, s_wake_migrations, 1);
+done:
+    Py_XDECREF(dest_o);
+    Py_XDECREF(weight);
+    Py_XDECREF(same_o);
+    Py_XDECREF(cost);
+    Py_XDECREF(pen);
+    Py_XDECREF(ipen);
+    Py_XDECREF(sum);
+    return rc;
+}
+
+/* Placement for the vanilla and placed VB wakes, decided now with every
+ * earlier wake of the batch visible: _select_wake_cpu(task,
+ * sync=task.sync_wake), then _count_migration.  Borrowed CPU or NULL. */
+static PyObject *
+wake_target(CycleObject *c, PyObject *td, long long *target)
+{
+    PyObject *sw = dgetc(td, s_sync_wake), *cpu;
+    int sync;
+    if (sw == NULL || (sync = PyObject_IsTrue(sw)) < 0)
+        return NULL;
+    if (select_wake_cpu_c(c, td, sync, target) < 0)
+        return NULL;
+    cpu = PyList_GetItem(c->cpus, (Py_ssize_t)*target);
+    if (cpu == NULL || count_migration_c(c, td, *target) < 0)
+        return NULL;
+    return cpu;
+}
+
+/* The middle every wake completion shares, from the blocked-time sample
+ * to nr_wakeups.  `depth`: the task was off every runqueue (vanilla). */
+static int
+wake_mark_runnable(CycleObject *c, PyObject *td, long long now, int depth)
+{
+    PyObject *stats, *sd;
+    long long since, blocked;
+    int ss;
+    if (dget_ll(td, s_state_since, &since) < 0)
+        return -1;
+    blocked = now - since;
+    if (clamp_latency(c, &blocked) < 0 ||
+        hist_record(c, s_h_block, blocked) < 0)
+        return -1;
+    if (account_state_c(c, td, now) < 0 ||
+        PyDict_SetItem(td, s_state, c->st_runnable) < 0)
+        return -1;
+    ss = kflag(c, s_schedstats);
+    if (ss < 0)
+        return -1;
+    if (ss) {
+        if (depth && cycle_depth_delta(c, now, 1) < 0) /* sleeping->queued */
+            return -1;
+        if (cycle_psi_transition(c, now, 1, 0) < 0)
+            return -1;
+    }
+    if (PyDict_SetItem(td, s_block_kind, Py_None) < 0 ||
+        PyDict_SetItem(td, s_wake_completed, Py_True) < 0 ||
+        dset_ll(td, s_woken_at, now) < 0)
+        return -1;
+    stats = dgetc(td, s_stats);
+    if (stats == NULL || (sd = inst_dict(stats)) == NULL)
+        return -1;
+    return dadd_ll(sd, s_nr_wakeups, 1);
+}
+
+/* The tail of the vanilla and placed VB wakes: CfsPolicy.place_wakeup
+ * (sleeper credit via rq.place_vruntime), enqueue, _check_preempt. */
+static int
+wake_enqueue(CycleObject *c, PyObject *cpu, PyObject *task, PyObject *td)
+{
+    PyObject *rq = slot_get(cpu, c->o_rq);
+    long long credit, minvr, vr;
+    if (attr_ll(c->policy, s_sleeper_credit, &credit) < 0 ||
+        slot_ll(rq, c->o_rq_minvr, &minvr) < 0 ||
+        dget_ll(td, s_vruntime, &vr) < 0)
+        return -1;
+    if (minvr - credit > vr && dset_ll(td, s_vruntime, minvr - credit) < 0)
+        return -1;
+    if (rq_enqueue_c(c, rq, task) < 0)
+        return -1;
+    return cycle_check_preempt(c, cpu, td);
+}
+
+/* A wake ends the CPU's all-blocked poll: fold the poll time into
+ * cpu.poll_ns.  Returns 1 if the CPU was polling, 0 if not, -1 on error. */
+static int
+end_poll_idle(CycleObject *c, PyObject *cpu, long long now)
+{
+    long long since, poll;
+    if (slot_get(cpu, c->o_poll_idle_since) == Py_None)
+        return 0;
+    if (slot_ll(cpu, c->o_poll_idle_since, &since) < 0 ||
+        slot_ll(cpu, c->o_poll_ns, &poll) < 0 ||
+        slot_set_ll(cpu, c->o_poll_ns, poll + now - since) < 0)
+        return -1;
+    slot_set(cpu, c->o_poll_idle_since, Py_None);
+    return 1;
+}
+
+/* Clear the VB flag and restore the vruntime saved at park. */
+static int
+vb_unflag(CycleObject *c, PyObject *td)
+{
+    PyObject *saved;
+    if (dset_ll(td, s_thread_state, 0) < 0 ||
+        (saved = dgetc(td, s_saved_vruntime)) == NULL)
+        return -1;
+    if (saved == Py_None)
+        return 0;
+    if (PyDict_SetItem(td, s_vruntime, saved) < 0)
+        return -1;
+    return PyDict_SetItem(td, s_saved_vruntime, Py_None);
+}
+
+/* Python's `a // 2`. */
+static inline long long
+floor_half(long long a)
+{
+    return a / 2 - (a < 0 && (a & 1));
+}
+
+/* Kernel._finish_wake_vanilla in C. */
+static int
+finish_wake_vanilla_c(CycleObject *c, PyObject *task)
+{
+    PyObject *td = inst_dict(task), *cpu;
+    long long target;
+    int r;
+    if (td == NULL || (r = wake_gate(c, td, c->st_sleeping)) <= 0)
+        return td == NULL ? -1 : r;
+    if ((cpu = wake_target(c, td, &target)) == NULL ||
+        wake_mark_runnable(c, td, c->engine->now, 1) < 0)
+        return -1;
+    return wake_enqueue(c, cpu, task, td);
+}
+
+/* Kernel._finish_wake_vb in C: clear the flag and re-key in place. */
+static int
+finish_wake_vb_c(CycleObject *c, PyObject *task)
+{
+    PyObject *td = inst_dict(task), *cpu, *rq;
+    long long now = c->engine->now, home, vr, minvr, lat;
+    int r, imm;
+    if (td == NULL || (r = wake_gate(c, td, c->st_vblocked)) <= 0)
+        return td == NULL ? -1 : r;
+    if (dget_ll(td, s_vb_cpu, &home) < 0 ||
+        (cpu = PyList_GetItem(c->cpus, (Py_ssize_t)home)) == NULL)
+        return -1;
+    rq = slot_get(cpu, c->o_rq);
+    if (vb_unflag(c, td) < 0 ||
+        (imm = aflag(c->vbc, s_immediate_schedule)) < 0)
+        return -1;
+    if (imm) { /* immediate-schedule preference for VB wakers */
+        if (dget_ll(td, s_vruntime, &vr) < 0 ||
+            slot_ll(rq, c->o_rq_minvr, &minvr) < 0 ||
+            attr_ll(c->sched, s_sched_latency_ns, &lat) < 0)
+            return -1;
+        if (minvr < vr)
+            vr = minvr;
+        if (minvr - floor_half(lat) > vr)
+            vr = minvr - floor_half(lat);
+        if (dset_ll(td, s_vruntime, vr) < 0)
+            return -1;
+    }
+    if (wake_mark_runnable(c, td, now, 0) < 0)
+        return -1;
+    if (!imm) { /* ablation: keep the restored vruntime, fair turn */
+        if (dget_ll(td, s_vruntime, &vr) < 0 ||
+            slot_ll(rq, c->o_rq_minvr, &minvr) < 0)
+            return -1;
+        if (minvr > vr && dset_ll(td, s_vruntime, minvr) < 0)
+            return -1;
+    }
+    /* rq.requeue: re-key from the sentinel to the real vruntime */
+    if (rq_dequeue_c(c, rq, task) < 0 || rq_enqueue_c(c, rq, task) < 0)
+        return -1;
+    if ((r = end_poll_idle(c, cpu, now)) < 0)
+        return -1;
+    if (r) { /* the woken task pays the expected flag-poll latency */
+        long long pen, bp;
+        if (attr_ll(c->vbc, s_all_blocked_poll_ns, &bp) < 0 ||
+            dget_ll(td, s_pending_penalty_ns, &pen) < 0 ||
+            dset_ll(td, s_pending_penalty_ns, pen + floor_half(bp)) < 0)
+            return -1;
+    }
+    return cycle_check_preempt(c, cpu, td);
+}
+
+/* Kernel._finish_wake_vb_placed in C: the bucket was under-subscribed,
+ * so clear the flag and move the task from its home queue to a chosen
+ * CPU's queue. */
+static int
+finish_wake_vb_placed_c(CycleObject *c, PyObject *task)
+{
+    PyObject *td = inst_dict(task), *home, *cpu;
+    long long now = c->engine->now, home_id, target, vr, hmin, cmin;
+    int r;
+    if (td == NULL || (r = wake_gate(c, td, c->st_vblocked)) <= 0)
+        return td == NULL ? -1 : r;
+    if (dget_ll(td, s_vb_cpu, &home_id) < 0 ||
+        (home = PyList_GetItem(c->cpus, (Py_ssize_t)home_id)) == NULL)
+        return -1;
+    if (rq_dequeue_c(c, slot_get(home, c->o_rq), task) < 0)
+        return -1;
+    if ((r = end_poll_idle(c, home, now)) < 0)
+        return -1;
+    if (r && slot_get(slot_get(home, c->o_rq), c->o_rq_curr) == Py_None) {
+        int online = PyObject_IsTrue(slot_get(home, c->o_online));
+        if (online < 0 || (online && cycle_schedule(c, home) < 0))
+            return -1;
+    }
+    if (vb_unflag(c, td) < 0 ||
+        (cpu = wake_target(c, td, &target)) == NULL ||
+        wake_mark_runnable(c, td, now, 0) < 0)
+        return -1;
+    if (dget_ll(td, s_vruntime, &vr) < 0 ||
+        slot_ll(slot_get(home, c->o_rq), c->o_rq_minvr, &hmin) < 0 ||
+        slot_ll(slot_get(cpu, c->o_rq), c->o_rq_minvr, &cmin) < 0 ||
+        dset_ll(td, s_vruntime, vr - hmin + cmin) < 0)
+        return -1;
+    return wake_enqueue(c, cpu, task, td);
+}
+
+/* One wake-completion event: gate, then the C mirror. */
+static PyObject *
+wake_entry(CycleObject *c, PyObject *task, PyObject *method,
+           int (*impl)(CycleObject *, PyObject *))
+{
+    int saved = cycle_event_begin(c);
+    int r = cycle_gate(c, method, task, NULL);
+    if (r == 0)
+        r = impl(c, task);
+    cycle_event_end(c, saved);
+    if (r < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+cycle_finish_wake_vb(CycleObject *c, PyObject *task)
+{
+    return wake_entry(c, task, s_m_finish_wake_vb, finish_wake_vb_c);
+}
+
+static PyObject *
+cycle_finish_wake_vb_placed(CycleObject *c, PyObject *task)
+{
+    return wake_entry(c, task, s_m_finish_wake_vb_placed,
+                      finish_wake_vb_placed_c);
+}
+
+static PyObject *
+cycle_finish_wake_vanilla(CycleObject *c, PyObject *task)
+{
+    return wake_entry(c, task, s_m_finish_wake_vanilla,
+                      finish_wake_vanilla_c);
+}
+
+/* _cpu_event's plain-completion shortcut, then Kernel._complete_action
+ * in C.  SleepNs (a park with a timer wake) and Yield/SleepNs subclasses
+ * bail to the Python method; the sync accounting already done is what
+ * it expects. */
+static int
+cycle_complete_action(CycleObject *c, PyObject *cpu, PyObject *task,
+                      PyObject *td)
+{
+    PyObject *action = dgetc(td, s_action), *acls, *bk, *stats, *sd;
+    int r, vb;
+    if (action == NULL || (bk = dgetc(td, s_block_kind)) == NULL)
+        return -1;
+    acls = (PyObject *)Py_TYPE(action);
+    r = PySet_Contains(c->plain_complete, acls);
+    if (r < 0)
+        return -1;
+    if (r && bk == Py_None) /* plain completion: next action in-slice */
+        return PyDict_SetItem(td, s_action, Py_None) < 0 ? -1
+               : cycle_continue(c, cpu);
+    if (acls == c->cls_yield) { /* step behind peers at the same vruntime */
+        if (PyDict_SetItem(td, s_action, Py_None) < 0 ||
+            (stats = dgetc(td, s_stats)) == NULL ||
+            (sd = inst_dict(stats)) == NULL ||
+            dadd_ll(sd, s_nr_voluntary, 1) < 0 ||
+            dadd_ll(td, s_vruntime, 1) < 0 ||
+            cycle_put_prev(c, cpu) < 0)
+            return -1;
+        return cycle_schedule(c, cpu);
+    }
+    if (acls == c->cls_sleep)
+        return bail_call(c, BAIL_COMPLETE_SLEEP, s_m_complete_action, cpu,
+                         task);
+    r = PyObject_IsInstance(action, c->cls_yield);
+    if (r == 0)
+        r = PyObject_IsInstance(action, c->cls_sleep);
+    if (r != 0)
+        return r < 0 ? -1 : bail_call(c, BAIL_COMPLETE_SUBCLASS,
+                                      s_m_complete_action, cpu, task);
+    if (bk == Py_None) /* ordinary completion */
+        return PyDict_SetItem(td, s_action, Py_None) < 0 ? -1
+               : cycle_continue(c, cpu);
+    /* A blocking action whose entry decided to park.  block_kind stays
+     * set while parked; _park takes any kind but "vb" as a sleep. */
+    vb = PyUnicode_Check(bk) && PyUnicode_CompareWithASCIIString(bk, "vb")
+         == 0;
+    r = aflag(task, s_wake_pending);
+    if (r < 0)
+        return -1;
+    if (r) { /* the wake raced the pre-park window: consume it */
+        if (PyDict_SetItem(td, s_wake_pending, Py_False) < 0 ||
+            PyDict_SetItem(td, s_block_kind, Py_None) < 0 ||
+            PyDict_SetItem(td, s_action, Py_None) < 0)
+            return -1;
+        return cycle_continue(c, cpu);
+    }
+    if (PyDict_SetItem(td, s_action, Py_None) < 0)
+        return -1;
+    {
+        PyObject *mode = dgetc(td, s_mode);
+        if (mode == NULL ||
+            (mode == c->mode_spin &&
+             set_mode_compute(c, td, c->engine->now) < 0))
+            return -1;
+    }
+    return cycle_park(c, cpu, task, td, vb);
+}
+
+/* Kernel._cpu_event in C (past the entry gate). */
+static int
+cpu_event_c(CycleObject *c, long long cpu_id, long long gen)
+{
+    long long cgen, now, slice_end;
+    PyObject *cpu, *rq, *task, *td, *rem_o;
+
     cpu = PyList_GetItem(c->cpus, (Py_ssize_t)cpu_id); /* borrowed */
     if (cpu == NULL)
-        return NULL;
+        return -1;
     if (slot_ll(cpu, c->o_gen, &cgen) < 0)
-        return NULL;
+        return -1;
     if (gen != cgen)
-        Py_RETURN_NONE;
+        return 0;
     rq = slot_get(cpu, c->o_rq);
     task = slot_get(rq, c->o_rq_curr);
     if (task == NULL || task == Py_None)
-        Py_RETURN_NONE;
+        return 0;
     Py_INCREF(task);
     if ((td = inst_dict(task)) == NULL)
         goto fail;
     now = c->engine->now;
-    if (slot_ll(cpu, c->o_run_started, &start) < 0)
+    if (cycle_sync_current(c, cpu, td) < 0)
         goto fail;
-    if (now > start) {
-        long long elapsed = now - start, busy, weight;
-        PyObject *ro;
-        if (slot_ll(cpu, c->o_busy_ns, &busy) < 0 ||
-            slot_set_ll(cpu, c->o_busy_ns, busy + elapsed) < 0)
-            goto fail;
-        if (dget_ll(td, s_weight, &weight) < 0)
-            goto fail;
-        if (dadd_ll(td, s_vruntime,
-                    weight == 1024 ? elapsed
-                                   : elapsed * 1024 / weight) < 0)
-            goto fail;
-        ro = dgetc(td, s_action_remaining);
-        if (ro == NULL)
-            goto fail;
-        if (ro != Py_None) {
-            long long rem2 = PyLong_AsLongLong(ro);
-            double rf;
-            PyObject *rf_o;
-            if (rem2 == -1 && PyErr_Occurred())
-                goto fail;
-            rf_o = slot_get(cpu, c->o_run_factor);
-            rf = PyFloat_AsDouble(rf_o);
-            if (rf == -1.0 && PyErr_Occurred())
-                goto fail;
-            rem2 -= rf == 1.0 ? elapsed : (long long)(elapsed * rf);
-            if (dset_ll(td, s_action_remaining, rem2 > 0 ? rem2 : 0) < 0)
-                goto fail;
-        }
-        if (account_state_c(c, td, now) < 0)
-            goto fail;
-        if (slot_set_ll(cpu, c->o_run_started, now) < 0)
-            goto fail;
-    }
     rem_o = dgetc(td, s_action_remaining);
     if (rem_o == NULL)
         goto fail;
@@ -1917,52 +2890,10 @@ cycle_cpu_event(CycleObject *c, PyObject *args)
         long long rv = PyLong_AsLongLong(rem_o);
         if (rv == -1 && PyErr_Occurred())
             goto fail;
-        if (rv == 0) {
-            PyObject *action = dgetc(td, s_action);
-            PyObject *bk;
-            int plain;
-            if (action == NULL)
+        if (rv == 0) { /* the action's charge finished */
+            if (cycle_complete_action(c, cpu, task, td) < 0)
                 goto fail;
-            bk = dgetc(td, s_block_kind);
-            if (bk == NULL)
-                goto fail;
-            plain = PySet_Contains(c->plain_complete,
-                                   (PyObject *)Py_TYPE(action));
-            if (plain < 0)
-                goto fail;
-            if (plain && bk == Py_None) {
-                if (PyDict_SetItem(td, s_action, Py_None) < 0)
-                    goto fail;
-                if (cycle_continue(c, cpu) < 0)
-                    goto fail;
-                c->fast_events += 1;
-                Py_DECREF(task);
-                Py_RETURN_NONE;
-            }
-            if ((PyObject *)Py_TYPE(action) == c->cls_yield) {
-                /* _complete_action's Yield arm. */
-                PyObject *stats, *sd;
-                if (PyDict_SetItem(td, s_action, Py_None) < 0)
-                    goto fail;
-                stats = dgetc(td, s_stats);
-                if (stats == NULL || (sd = inst_dict(stats)) == NULL)
-                    goto fail;
-                if (dadd_ll(sd, s_nr_voluntary, 1) < 0 ||
-                    dadd_ll(td, s_vruntime, 1) < 0)
-                    goto fail;
-                if (cycle_put_prev(c, cpu) < 0 ||
-                    cycle_schedule(c, cpu) < 0)
-                    goto fail;
-                c->fast_events += 1;
-                Py_DECREF(task);
-                Py_RETURN_NONE;
-            }
-            /* Sleeps, parks, racing wakes: Python handles completion
-             * (sync accounting above matches what it expects). */
-            if (bail_call(c, s_m_complete_action, cpu, task) < 0)
-                goto fail;
-            Py_DECREF(task);
-            Py_RETURN_NONE;
+            goto done;
         }
     }
     if (slot_ll(cpu, c->o_slice_end, &slice_end) < 0)
@@ -1993,9 +2924,7 @@ cycle_cpu_event(CycleObject *c, PyObject *args)
                 if (cycle_put_prev(c, cpu) < 0 ||
                     cycle_schedule(c, cpu) < 0)
                     goto fail;
-                c->fast_events += 1;
-                Py_DECREF(task);
-                Py_RETURN_NONE;
+                goto done;
             }
         }
         {
@@ -2008,12 +2937,31 @@ cycle_cpu_event(CycleObject *c, PyObject *args)
     }
     if (cycle_continue(c, cpu) < 0)
         goto fail;
-    c->fast_events += 1;
+done:
     Py_DECREF(task);
-    Py_RETURN_NONE;
+    return 0;
 fail:
     Py_DECREF(task);
-    return NULL;
+    return -1;
+}
+
+/* The engine callback for per-CPU events. */
+static PyObject *
+cycle_cpu_event(CycleObject *c, PyObject *args)
+{
+    long long cpu_id, gen;
+    int saved, r;
+    if (!PyArg_ParseTuple(args, "LL", &cpu_id, &gen))
+        return NULL;
+    saved = cycle_event_begin(c);
+    r = cycle_gate(c, s_m_cpu_event, PyTuple_GET_ITEM(args, 0),
+                   PyTuple_GET_ITEM(args, 1));
+    if (r == 0)
+        r = cpu_event_c(c, cpu_id, gen);
+    cycle_event_end(c, saved);
+    if (r < 0)
+        return NULL;
+    Py_RETURN_NONE;
 }
 
 /* ------------------------------------------------------------------ */
@@ -2087,16 +3035,23 @@ cycle_new(PyTypeObject *type, PyObject *args, PyObject *Py_UNUSED(kwargs))
     if (config == NULL)
         goto fail;
     c->sched = PyObject_GetAttrString(config, "scheduler");
+    c->vbc = PyObject_GetAttrString(config, "vb");
     Py_DECREF(config);
-    if (c->sched == NULL)
+    if (c->sched == NULL || c->vbc == NULL)
+        goto fail;
+    if ((c->policy = PyObject_GetAttrString(kernel, "policy")) == NULL ||
+        (c->topology = PyObject_GetAttrString(kernel, "topology")) == NULL ||
+        (c->vb_policy = PyObject_GetAttrString(kernel, "vb_policy")) == NULL)
         goto fail;
     if ((c->st_running = support_get(support, "RUNNING")) == NULL ||
         (c->st_runnable = support_get(support, "RUNNABLE")) == NULL ||
         (c->st_sleeping = support_get(support, "SLEEPING")) == NULL ||
         (c->st_vblocked = support_get(support, "VBLOCKED")) == NULL ||
         (c->mode_compute = support_get(support, "MODE_COMPUTE")) == NULL ||
+        (c->mode_spin = support_get(support, "MODE_SPIN")) == NULL ||
         (c->cls_compute = support_get(support, "Compute")) == NULL ||
         (c->cls_yield = support_get(support, "Yield")) == NULL ||
+        (c->cls_sleep = support_get(support, "SleepNs")) == NULL ||
         (c->plain_complete = support_get(support, "PLAIN_COMPLETE")) == NULL ||
         (c->action_dispatch = support_get(support, "ACTION_DISPATCH")) == NULL ||
         (c->program_error = support_get(support, "ProgramError")) == NULL)
@@ -2121,6 +3076,8 @@ cycle_new(PyTypeObject *type, PyObject *args, PyObject *Py_UNUSED(kwargs))
         RESOLVE(o_last_task, "last_task")
         RESOLVE(o_online, "online")
         RESOLVE(o_nr_switches, "nr_switches")
+        RESOLVE(o_poll_idle_since, "poll_idle_since")
+        RESOLVE(o_poll_ns, "poll_ns")
 #undef RESOLVE
     }
     rq0 = slot_get(cpu0, c->o_rq);
@@ -2136,6 +3093,7 @@ cycle_new(PyTypeObject *type, PyObject *args, PyObject *Py_UNUSED(kwargs))
         if (vbo == NULL)
             goto fail;
         c->vb_sentinel = PyLong_AsLongLong(vbo);
+        Py_DECREF(vbo);
         if (c->vb_sentinel == -1 && PyErr_Occurred())
             goto fail;
 #define RESOLVE_RQ(field, name) \
@@ -2150,6 +3108,13 @@ cycle_new(PyTypeObject *type, PyObject *args, PyObject *Py_UNUSED(kwargs))
         RESOLVE_RQ(o_rq_nenq, "nr_enqueues")
         RESOLVE_RQ(o_rq_minvr, "min_vruntime")
 #undef RESOLVE_RQ
+        vbo = PyObject_GetAttrString((PyObject *)rt, "_COMPACT_MIN");
+        if (vbo == NULL)
+            goto fail;
+        c->compact_min = PyLong_AsLongLong(vbo);
+        Py_DECREF(vbo);
+        if (c->compact_min == -1 && PyErr_Occurred())
+            goto fail;
     }
     /* Policy gate: a missing key fails construction (KeyError). */
     {
@@ -2165,6 +3130,7 @@ cycle_new(PyTypeObject *type, PyObject *args, PyObject *Py_UNUSED(kwargs))
     c->self_cb = PyObject_GetAttrString((PyObject *)c, "cpu_event");
     if (c->self_cb == NULL)
         goto fail;
+    c->event_bail = -1;
     return (PyObject *)c;
 fail:
     Py_DECREF((PyObject *)c);
@@ -2178,13 +3144,19 @@ cycle_traverse(CycleObject *c, visitproc visit, void *arg)
     Py_VISIT((PyObject *)c->engine);
     Py_VISIT(c->cpus);
     Py_VISIT(c->sched);
+    Py_VISIT(c->vbc);
+    Py_VISIT(c->policy);
+    Py_VISIT(c->topology);
+    Py_VISIT(c->vb_policy);
     Py_VISIT(c->st_running);
     Py_VISIT(c->st_runnable);
     Py_VISIT(c->st_sleeping);
     Py_VISIT(c->st_vblocked);
     Py_VISIT(c->mode_compute);
+    Py_VISIT(c->mode_spin);
     Py_VISIT(c->cls_compute);
     Py_VISIT(c->cls_yield);
+    Py_VISIT(c->cls_sleep);
     Py_VISIT(c->plain_complete);
     Py_VISIT(c->action_dispatch);
     Py_VISIT(c->program_error);
@@ -2199,13 +3171,19 @@ cycle_clear(CycleObject *c)
     Py_CLEAR(c->engine);
     Py_CLEAR(c->cpus);
     Py_CLEAR(c->sched);
+    Py_CLEAR(c->vbc);
+    Py_CLEAR(c->policy);
+    Py_CLEAR(c->topology);
+    Py_CLEAR(c->vb_policy);
     Py_CLEAR(c->st_running);
     Py_CLEAR(c->st_runnable);
     Py_CLEAR(c->st_sleeping);
     Py_CLEAR(c->st_vblocked);
     Py_CLEAR(c->mode_compute);
+    Py_CLEAR(c->mode_spin);
     Py_CLEAR(c->cls_compute);
     Py_CLEAR(c->cls_yield);
+    Py_CLEAR(c->cls_sleep);
     Py_CLEAR(c->plain_complete);
     Py_CLEAR(c->action_dispatch);
     Py_CLEAR(c->program_error);
@@ -2224,15 +3202,37 @@ cycle_dealloc(CycleObject *c)
 static PyObject *
 cycle_counters(CycleObject *c, PyObject *Py_UNUSED(ignored))
 {
-    return Py_BuildValue("{s:L,s:L}", "fast_events", c->fast_events,
-                         "bailouts", c->bailouts);
+    PyObject *by = PyDict_New(), *out;
+    int i;
+    if (by == NULL)
+        return NULL;
+    for (i = 0; i < BAIL_N; i++) {
+        PyObject *v = PyLong_FromLongLong(c->bailouts_by[i]);
+        if (v == NULL || PyDict_SetItemString(by, bail_names[i], v) < 0) {
+            Py_XDECREF(v);
+            Py_DECREF(by);
+            return NULL;
+        }
+        Py_DECREF(v);
+    }
+    out = Py_BuildValue("{s:L,s:L,s:N}", "fast_events", c->fast_events,
+                        "bailouts", c->bailouts, "bailouts_by", by);
+    return out;
 }
 
 static PyMethodDef cycle_methods[] = {
     {"cpu_event", (PyCFunction)cycle_cpu_event, METH_VARARGS,
      "cpu_event(cpu_id, gen): the accelerated per-CPU event callback."},
+    {"finish_wake_vb", (PyCFunction)cycle_finish_wake_vb, METH_O,
+     "finish_wake_vb(task): the in-place VB wake completion."},
+    {"finish_wake_vb_placed", (PyCFunction)cycle_finish_wake_vb_placed,
+     METH_O, "finish_wake_vb_placed(task): the placed VB wake completion."},
+    {"finish_wake_vanilla", (PyCFunction)cycle_finish_wake_vanilla, METH_O,
+     "finish_wake_vanilla(task): the vanilla wake completion."},
     {"counters", (PyCFunction)cycle_counters, METH_NOARGS,
-     "C-path coverage counters: {'fast_events': n, 'bailouts': n}."},
+     "Coverage of the events the cycle owns: {'fast_events': n, "
+     "'bailouts': n, 'bailouts_by': {reason: n}}; each event counts "
+     "once."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -295,13 +295,15 @@ class Kernel:
             self._obs_sampler = self._obs_session.attach(self)
 
         # C hot cycle (fast backend): when the engine is the C extension,
-        # route the per-CPU event callback through the KernelCycle
-        # accelerator.  It replays _cpu_event/_continue/_dispatch for the
-        # common cases and calls back into the Python methods for
-        # everything rare (tracing on, parks, wakes, idle pulls, spins),
-        # so results are bit-identical by construction.
+        # route the per-CPU event callback and the three futex wake
+        # completions through the KernelCycle accelerator.  It replays
+        # _cpu_event/_continue/_dispatch, parks, the all-blocked poll,
+        # wake completions and wakeup preemption, and calls back into the
+        # Python methods for everything rare (tracing on, non-CFS
+        # policies, offline CPUs, idle pulls, spins, exits, SleepNs), so
+        # results are bit-identical by construction.
         self._cycle = None
-        self._cpu_event_entry = self._cpu_event
+        self._bind_entries(None)
         if type(self.engine).__module__ == "repro.fastpath._fastcore":
             from ..fastpath.build import load_fastcore
 
@@ -311,13 +313,28 @@ class Kernel:
                     support = _cycle_support()
                     # The C cycle replays the CfsPolicy hooks; under any
                     # other policy it bails out per event (counted in
-                    # counters()["bailouts"]) to the Python hooks.
+                    # counters()["bailouts_by"]["policy"]) to the Python
+                    # hooks.
                     support["POLICY_IS_CFS"] = type(policy) is CfsPolicy
                     self._cycle = core.KernelCycle(self, support)
-                    self._cpu_event_entry = self._cycle.cpu_event
                 except Exception:
                     self._cycle = None
-                    self._cpu_event_entry = self._cpu_event
+                self._bind_entries(self._cycle)
+
+    def _bind_entries(self, cycle) -> None:
+        """Bind the engine callbacks the hot loop schedules: the per-CPU
+        event and the futex wake completions, as the C cycle's mirrors
+        or (``cycle=None``) the Python methods themselves."""
+        if cycle is None:
+            self._cpu_event_entry = self._cpu_event
+            self._wake_vb_entry = self._finish_wake_vb
+            self._wake_vb_placed_entry = self._finish_wake_vb_placed
+            self._wake_vanilla_entry = self._finish_wake_vanilla
+        else:
+            self._cpu_event_entry = cycle.cpu_event
+            self._wake_vb_entry = cycle.finish_wake_vb
+            self._wake_vb_placed_entry = cycle.finish_wake_vb_placed
+            self._wake_vanilla_entry = cycle.finish_wake_vanilla
 
     # ==================================================================
     # Public API
@@ -1240,7 +1257,7 @@ class Kernel:
                 c = vbc.wake_cost_ns
                 t += c
                 total += c
-                sched_wake(t, self._finish_wake_vb, w)
+                sched_wake(t, self._wake_vb_entry, w)
                 self.vb_policy.stats.vb_wakes += 1
             elif w.block_kind == "vb":
                 c = select_cost
@@ -1251,7 +1268,7 @@ class Kernel:
                 c += fc.enqueue_ns
                 t += c
                 total += c
-                sched_wake(t, self._finish_wake_vb_placed, w)
+                sched_wake(t, self._wake_vb_placed_entry, w)
                 self.vb_policy.stats.vb_placed_wakes += 1
             else:
                 c = bucket.lock.acquire(t, fc.bucket_lock_hold_ns)
@@ -1267,7 +1284,7 @@ class Kernel:
                 c += fc.enqueue_ns
                 t += c
                 total += c
-                sched_wake(t, self._finish_wake_vanilla, w)
+                sched_wake(t, self._wake_vanilla_entry, w)
                 self.vb_policy.stats.vanilla_wakes += 1
             woken += 1
         if waker is None and woken:
@@ -1832,8 +1849,10 @@ def _cycle_support() -> dict:
         "SLEEPING": TaskState.SLEEPING,
         "VBLOCKED": TaskState.VBLOCKED,
         "MODE_COMPUTE": RunMode.COMPUTE,
+        "MODE_SPIN": RunMode.SPIN,
         "Compute": A.Compute,
         "Yield": A.Yield,
+        "SleepNs": A.SleepNs,
         "PLAIN_COMPLETE": _PLAIN_COMPLETE,
         "ACTION_DISPATCH": _ACTION_DISPATCH,
         "ProgramError": ProgramError,

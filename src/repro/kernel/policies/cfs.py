@@ -4,8 +4,8 @@ Every hook is the :class:`~repro.kernel.policy.SchedPolicy` default —
 the base class *is* CFS, so that a policy overriding nothing is already
 valid.  The kernel calls these hooks for every CFS decision; on the
 ``fast`` backend the C ``KernelCycle`` replays the same decisions for
-the common dispatch/slice cases and hands everything else back to
-them (see ``docs/scheduling.md``).
+dispatch, slice expiry, wake placement and wakeup preemption, and hands
+everything else back to them (see ``docs/scheduling.md``).
 """
 
 from __future__ import annotations

@@ -12,7 +12,12 @@ docs/performance.md:
   match a plain sorted-list model op for op;
 * kernel trace parity — the same scenario run under ``pure`` and
   ``fast`` must produce byte-identical trace streams, including a
-  32-CPU futex-heavy run that drives the balancer through CPU hot-plug.
+  32-CPU futex-heavy run that drives the balancer through CPU hot-plug;
+* wake-path parity — each futex wake completion the C cycle mirrors
+  (VB in place, VB placed, vanilla; with and without the immediate-
+  schedule preference, pinned tasks, CPUs going offline) agrees field
+  for field untraced and record for record traced, with the C cycle's
+  event accounting and reference counting checked alongside.
 
 When the C core cannot load, ``fast`` runs the ``pure`` engine; the
 fallback test below pins that down.
@@ -47,15 +52,17 @@ from repro.kernel.kernel import Kernel
 from repro.kernel.runqueue import VB_SENTINEL, CfsRunqueue
 from repro.sim.engine import Engine
 from repro.kernel.task import Task, TaskState
+from repro.kernel.epoll import EpollInstance
 from repro.prog.actions import (
     BarrierWait,
     Compute,
+    EpollWait,
     MutexAcquire,
     MutexRelease,
     SleepNs,
     Yield,
 )
-from repro.sync import Barrier, Mutex
+from repro.sync import Barrier, Mutex, Mutexee
 
 MS = 1_000_000
 US = 1_000
@@ -296,17 +303,41 @@ def test_kernel_trace_parity_mixed_workload():
     assert streams["pure"] == streams["fast"]
 
 
-def _untraced_run(make_config, scenario, horizon_ns) -> tuple:
-    """Clock, event count and per-task stats of one run under the
-    current backend.  No tracing, so a fast kernel stays on the C cycle
-    and its runqueue ops instead of bailing to Python on every event."""
+def _kernel_state(k: Kernel) -> tuple:
+    """Everything a run computes that both backends must agree on: clock,
+    event count, every task's vruntime, state and ``TaskStats`` fields,
+    the VB counters, PSI and runqueue-depth accounting, per-CPU time
+    accounting, migration counters and the latency histograms."""
+    tasks = [(t.name, t.vruntime, t.state.value, dataclasses.astuple(t.stats))
+             for t in k.tasks]
+    psi = (k.psi_some_ns, k.psi_full_ns, k.psi_waiting, k.psi_running,
+           tuple(k._psi_checkpoints), k.rq_depth_integral_ns, k._rqd_total)
+    cpus = [(c.busy_ns, c.sched_ns, c.stall_ns, c.poll_ns, c.irq_ns,
+             c.nr_switches, c.poll_idle_since, c.rq.min_vruntime)
+            for c in k.cpus]
+    migrations = (k.migrations_in_node, k.migrations_cross_node,
+                  k.wake_migrations, k.balance_migrations,
+                  k.negative_latency_samples)
+    hists = {name: h.to_dict() for name, h in k.hists.items()}
+    return (k.now, k.engine.events_run, tasks,
+            dataclasses.astuple(k.vb_policy.stats), psi, cpus, migrations,
+            hists)
+
+
+def _untraced_kernel(make_config, scenario, horizon_ns) -> Kernel:
+    """One run under the current backend.  No tracing, so a fast kernel
+    stays on the C cycle and its runqueue ops instead of bailing to
+    Python on every event."""
     k = Kernel(make_config())
     scenario(k)
     k.run_for(horizon_ns)
-    stats = [(t.name, t.vruntime, dataclasses.astuple(t.stats))
-             for t in k.tasks]
     k.shutdown()
-    return k.now, k.engine.events_run, stats
+    return k
+
+
+def _untraced_run(make_config, scenario, horizon_ns) -> tuple:
+    """:func:`_kernel_state` of one untraced run."""
+    return _kernel_state(_untraced_kernel(make_config, scenario, horizon_ns))
 
 
 def _untraced_results(make_config, scenario, horizon_ns) -> dict:
@@ -382,6 +413,193 @@ def test_wide_machine_balancer_parity(name):
 
     results = _untraced_results(_WIDE_CONFIGS[name], _wide_scenario, horizon)
     assert results["pure"] == results["fast"]
+
+
+# ---------------------------------------------------------------------------
+# Wake-path parity: park -> wake completion -> preempt -> dispatch in C
+# ---------------------------------------------------------------------------
+
+def _no_bwd(cfg, **vb):
+    """``cfg`` without BWD's monitor timers, with optional VB overrides."""
+    cfg = dataclasses.replace(cfg, bwd=dataclasses.replace(cfg.bwd,
+                                                           enabled=False))
+    if vb:
+        cfg = dataclasses.replace(cfg, vb=dataclasses.replace(cfg.vb, **vb))
+    return cfg
+
+
+def _lock_scenario(ntasks, nlocks, rounds=30, pinned_every=0,
+                   spin_locks=False):
+    """``ntasks`` workers contending for ``nlocks`` mutexes (the even
+    ones spin-then-park when ``spin_locks``); every ``pinned_every``-th
+    worker is pinned to a CPU."""
+    def scenario(kernel):
+        locks = [(Mutexee if spin_locks and j % 2 == 0 else Mutex)(f"lk{j}")
+                 for j in range(nlocks)]
+        ncpu = len(kernel.online_cpus())
+
+        def worker(i):
+            lock = locks[i % nlocks]
+            for r in range(rounds):
+                yield Compute(20 * US + (i * 7 + r * 3) % 11 * US)
+                yield MutexAcquire(lock)
+                yield Compute(4 * US + i % 3 * US)
+                yield MutexRelease(lock)
+
+        for i in range(ntasks):
+            pin = (i % ncpu if pinned_every and i % pinned_every == 0
+                   else None)
+            kernel.spawn(worker(i), name=f"w{i}", pinned_cpu=pin)
+    return scenario
+
+
+def _epoll_scenario(nworkers, posts=300, gap_ns=7 * US, online=None):
+    """Interrupt-context ``epoll_post`` wakes (the memcached path) plus a
+    mutex, with an optional ``(at_ns, n)`` list of CPU hot-plugs."""
+    def scenario(kernel):
+        ep = EpollInstance("ep")
+        lock = Mutex("ep.lock")
+
+        def server(i):
+            while True:
+                batch = yield EpollWait(ep, max_events=2)
+                yield Compute(15 * US + len(batch) * (i % 4 + 1) * US)
+                yield MutexAcquire(lock)
+                yield Compute(2 * US)
+                yield MutexRelease(lock)
+
+        def post(n):
+            kernel.epoll_post(ep, n)
+            if n < posts:
+                kernel.engine.schedule(gap_ns + n % 5 * US, post, n + 1)
+
+        for i in range(nworkers):
+            kernel.spawn(server(i), name=f"srv{i}")
+        kernel.engine.schedule(gap_ns, post, 0)
+        for at, n in online or ():
+            kernel.engine.schedule_at(kernel.now + at, kernel.set_online_cpus,
+                                      n)
+    return scenario
+
+
+# name -> (config factory, scenario, horizon, the trace's wake `how`)
+_WAKE_SCENARIOS = {
+    "vb-in-place": (
+        lambda: _no_bwd(optimized_config(cores=2, seed=11)),
+        _lock_scenario(8, 1, spin_locks=True), 4 * MS, "vb"),
+    "vb-placed": (
+        lambda: _no_bwd(optimized_config(cores=8, seed=12)),
+        _epoll_scenario(6), 4 * MS, "vb-placed"),
+    "vanilla": (
+        lambda: _no_bwd(vanilla_config(cores=4, seed=13)),
+        _epoll_scenario(6), 4 * MS, "vanilla"),
+    "vb-no-immediate-schedule": (
+        lambda: _no_bwd(optimized_config(cores=2, seed=14),
+                        immediate_schedule=False),
+        _lock_scenario(8, 1), 4 * MS, "vb"),
+    "pinned": (
+        lambda: _no_bwd(optimized_config(cores=4, seed=15)),
+        _lock_scenario(10, 3, pinned_every=2), 4 * MS, "vb-placed"),
+    "target-offline": (
+        lambda: _no_bwd(optimized_config(cores=8, seed=16)),
+        _epoll_scenario(10, online=[(1 * MS, 3), (2500 * US, 8)]),
+        4 * MS, "vb-placed"),
+}
+
+# The reasons counters()["bailouts_by"] reports.  None of them is a park
+# or a wake: those never leave C on an untraced CFS kernel.
+_BAIL_REASONS = {"trace", "policy", "schedule-offline", "schedule-idle-pull",
+                 "continue-spin", "exit", "complete-sleep",
+                 "complete-subclass"}
+
+
+@pytest.mark.parametrize("name", sorted(_WAKE_SCENARIOS))
+def test_wake_path_parity(name):
+    make_config, scenario, horizon, how = _WAKE_SCENARIOS[name]
+    streams = kernel_trace_parity(scenario, horizon_ns=horizon,
+                                  config=make_config())
+    hows = {dict(e[4]).get("how") for e in streams["pure"] if e[1] == "wake"}
+    assert how in hows, hows
+    assert streams["pure"] == streams["fast"]
+
+    prev = current_backend()
+    try:
+        set_backend("pure")
+        pure = _untraced_kernel(make_config, scenario, horizon)
+        set_backend("fast")
+        fast = _untraced_kernel(make_config, scenario, horizon)
+    finally:
+        set_backend(prev)
+    assert _kernel_state(fast) == _kernel_state(pure)
+    if fast._cycle is not None:
+        by = fast._cycle.counters()["bailouts_by"]
+        assert set(by) == _BAIL_REASONS
+        assert by["trace"] == 0 and by["policy"] == 0, by
+
+
+def test_cycle_counts_each_event_once():
+    # Futex-only, no timers (BWD off, no balance tick inside the
+    # horizon): every engine event is a per-CPU event or a wake
+    # completion, and each counts once, fast or bailed for one reason.
+    if not fastcore_available():  # pragma: no cover - no C compiler
+        pytest.skip("C core unavailable")
+    cfg = _no_bwd(optimized_config(cores=4, seed=17))
+    cfg = dataclasses.replace(cfg, scheduler=dataclasses.replace(
+        cfg.scheduler, balance_interval_ns=1_000 * MS))
+    prev = current_backend()
+    try:
+        set_backend("fast")
+        k = Kernel(cfg)
+        _lock_scenario(12, 2, rounds=20)(k)
+        k.run_for(40 * MS)
+    finally:
+        set_backend(prev)
+    assert k.live_tasks == 0  # the exits bailed inside their events
+    c = k._cycle.counters()
+    assert c["fast_events"] + c["bailouts"] == k.engine.events_run
+    assert sum(c["bailouts_by"].values()) == c["bailouts"]
+    assert c["bailouts_by"]["exit"] == 12
+    assert c["bailouts"] < c["fast_events"] // 10
+    k.shutdown()
+
+
+def test_cycle_paths_do_not_leak():
+    # The C wake/park paths juggle many references; a leaked one per
+    # event grows memory with the run.  30 runs of an 8-CPU, 16-worker VB
+    # scenario in one process must leave traced memory and the live
+    # object count flat after a warm-up.
+    if not fastcore_available():  # pragma: no cover - no C compiler
+        pytest.skip("C core unavailable")
+    import gc
+    import tracemalloc
+
+    def config():
+        return _no_bwd(optimized_config(cores=8, seed=18))
+
+    scenario = _epoll_scenario(16, posts=400, gap_ns=3 * US)
+    prev = current_backend()
+    tracemalloc.start()
+    try:
+        set_backend("fast")
+        for _ in range(3):
+            _untraced_kernel(config, scenario, 2 * MS)
+        gc.collect()
+        mem0 = tracemalloc.get_traced_memory()[0]
+        objs0 = len(gc.get_objects())
+        for _ in range(30):
+            k = _untraced_kernel(config, scenario, 2 * MS)
+            assert k._cycle.counters()["fast_events"] > 1000
+            del k
+        gc.collect()
+        mem1 = tracemalloc.get_traced_memory()[0]
+        objs1 = len(gc.get_objects())
+    finally:
+        tracemalloc.stop()
+        set_backend(prev)
+    # Tolerance: 64 KiB and 200 objects over 30 runs, far below the
+    # ~30 x 5k wake and park events one leaked reference each would hold.
+    assert mem1 - mem0 < 64 * 1024, mem1 - mem0
+    assert objs1 - objs0 < 200, objs1 - objs0
 
 
 @pytest.mark.parametrize("cores", [4, 32])
